@@ -9,7 +9,7 @@ Run: python3 demos/power_curve.py
 import numpy as np
 
 from distmlc import models, tuning
-from distmlc.linalg import pairwise_distances
+from distmlc.linalg import fit_ridge, pairwise_distances
 
 rng = np.random.default_rng(3)
 n, m, l = 120, 5, 6
@@ -23,7 +23,8 @@ refs = models.unique_rows(X)
 alpha = models.auto_alpha(refs)
 Dx = pairwise_distances(X, refs)
 Dy = pairwise_distances(Y, Y)
-loo = tuning.loo_deltas(Dx, Dy, alpha)
+gram, B = fit_ridge(Dx, Dy, alpha)
+loo = tuning.loo_deltas(gram, Dx, Dy, B)
 best_p, curve = tuning.search_power(loo, Y)
 
 values = np.array([v for _, v in curve])

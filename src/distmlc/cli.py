@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,8 @@ from .linalg import SingularSystemError
 from .modelio import ModelFileError, dataset_fingerprint, load_model, save_model
 
 METHODS = ("ml-mlm", "nn-mlm", "lls-mlm", "br-mlm")
+# the keys of a prediction record, in file order
+PREDICTION_FIELDS = ("scores", "labels", "min_distance", "uncertainty")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -85,39 +88,51 @@ def fit_method(method, ds, alpha="auto", power="tuned", threshold="cardinality")
     raise UsageError(f"unknown method {method!r}")
 
 
-def predict_instance(method, model, x, threshold=None):
-    if method == "ml-mlm":
-        if threshold == "local-rcut":
-            return models.ml_mlm_predict_rcut(model, x)
-        if threshold not in (None, "cardinality"):
-            model = tuning.TunedMlMlm(
-                model=model.model, power=model.power,
-                threshold=float(threshold), lrl_curve=(),
-            )
-        return models.ml_mlm_predict(model, x)
-    if method == "nn-mlm":
-        return models.nn_mlm_predict(model, x)
-    if method == "lls-mlm":
-        return models.lls_mlm_predict(model, x)
-    if method == "br-mlm":
-        return models.br_mlm_predict(model, x)
-    raise UsageError(f"unknown method {method!r}")
+# Rows per predict_dataset chunk: this budget over the 8*N bytes of one row's N
+# predicted distances (8*N*L for br-mlm). Chunk temporaries then peak near 4 MB
+# for a 1,500-row ml-mlm model and 3 MB for a 645-row, 45-label br-mlm model.
+PREDICT_CHUNK_BYTES = 1 << 20
 
 
-def predict_dataset(method, model, ds, threshold=None):
-    return [predict_instance(method, model, x, threshold) for x in ds.features]
+def _base_model(model) -> models.DistanceModel:
+    """The distance model inside any trained model."""
+    if isinstance(model, tuning.TunedMlMlm):
+        return model.model
+    if isinstance(model, models.BrMlmModel):
+        return model.base
+    return model
+
+
+def predict_dataset(method, model, ds, threshold=None) -> models.Prediction:
+    """Batch predictions (Q-row arrays) for every row of ds, in row chunks."""
+    decode = {
+        "ml-mlm": models.ml_mlm_predict,
+        "nn-mlm": models.nn_mlm_predict,
+        "lls-mlm": models.lls_mlm_predict,
+        "br-mlm": models.br_mlm_predict,
+    }.get(method)
+    if decode is None:
+        raise UsageError(f"unknown method {method!r}")
+    if method == "ml-mlm" and threshold == "local-rcut":
+        decode = models.ml_mlm_predict_rcut
+    elif method == "ml-mlm" and threshold not in (None, "cardinality"):
+        model = replace(model, threshold=float(threshold), lrl_curve=())
+    base = _base_model(model)
+    row_bytes = 8 * len(base.train_labels) * (base.n_labels if method == "br-mlm" else 1)
+    step = max(1, PREDICT_CHUNK_BYTES // row_bytes)
+    X = ds.features
+    parts = [decode(model, X[i:i + step]) for i in range(0, X.shape[0], step)]
+    return models.Prediction(*(np.concatenate([getattr(p, name) for p in parts])
+                               for name in PREDICTION_FIELDS))
 
 
 def write_predictions(preds, path) -> None:
+    """One JSON line per row of a batch Prediction; None writes an empty file."""
+    rows = () if preds is None else zip(
+        *(getattr(preds, name).tolist() for name in PREDICTION_FIELDS))
     with open(path, "w", encoding="utf-8") as fh:
-        for p in preds:
-            fh.write(json.dumps({
-                "scores": [float(s) for s in p.scores],
-                "labels": [int(v) for v in p.labels],
-                "min_distance": float(p.min_distance),
-                "uncertainty": p.uncertainty,
-            }))
-            fh.write("\n")
+        for row in rows:
+            fh.write(json.dumps(dict(zip(PREDICTION_FIELDS, row))) + "\n")
 
 
 def read_predictions(path):
@@ -166,7 +181,7 @@ def cmd_predict(args) -> int:
             # an input file with no data rows is a valid empty prediction job
             if "no data rows" not in str(exc):
                 raise
-    preds = predict_dataset(manifest["method"], model, ds, args.threshold) if ds else []
+    preds = predict_dataset(manifest["method"], model, ds, args.threshold) if ds else None
     write_predictions(preds, args.out)
     return EXIT_OK
 
@@ -218,9 +233,9 @@ def cmd_benchmark(args) -> int:
         for method in methods:
             model = fit_method(method, train_ds)
             preds = predict_dataset(method, model, test_ds)
-            scores = np.array([p.scores for p in preds])
-            labels = np.array([p.labels for p in preds], dtype=np.float64)
-            report = metricsmod.evaluate(labels, scores, test_ds.labels)
+            report = metricsmod.evaluate(
+                preds.labels.astype(np.float64), preds.scores, test_ds.labels
+            )
             per_method[method] = report
             with open(out_dir / f"report_{name}_{method}.json", "w",
                       encoding="utf-8") as fh:
@@ -266,10 +281,7 @@ def cmd_distbox(args) -> int:
         args.data, labels_xml=args.labels_xml, labels_last=args.labels_last,
         scale=args.scale,
     )
-    base = model.model if isinstance(model, tuning.TunedMlMlm) else (
-        model.base if isinstance(model, models.BrMlmModel) else model
-    )
-    deltas = models.predict_deltas_batch(base, ds.features)
+    deltas = models.predict_deltas(_base_model(model), ds.features)
     mins = models.clamp_deltas(deltas).min(axis=1)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)

@@ -1,7 +1,7 @@
 """Dense numerical kernels shared by the distance-regression models.
 
-Pairwise Euclidean distances, ridge-regularized least squares, and
-hat-matrix rows for closed-form leave-one-out predictions. Everything is
+Pairwise Euclidean distances, ridge-regularized least squares, and the
+leverages that closed-form leave-one-out predictions need. Everything is
 float64 and deterministic: repeated calls with identical inputs give
 bit-identical results.
 """
@@ -53,9 +53,8 @@ class RegularizedGram:
         U = Dx.T @ Dx
         if alpha > 0:
             U[np.diag_indices_from(U)] += alpha
-        self.base = U
         try:
-            self._factor = cho_factor(U, lower=True)
+            self._factor = cho_factor(U, lower=True, overwrite_a=True)
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(
                 "U = Dx^T Dx + alpha*I is not positive definite"
@@ -66,12 +65,13 @@ class RegularizedGram:
         return cho_solve(self._factor, rhs)
 
 
-def solve_regularized_ls(Dx, Dy, alpha: float) -> np.ndarray:
+def fit_ridge(Dx, Dy, alpha: float) -> tuple[RegularizedGram | None, np.ndarray]:
     """Minimize ||Dx B - Dy||_F^2 + alpha * ||B||_F^2 for B (K x C).
 
-    Solved through a Cholesky factorization of the shifted Gram matrix.
-    Falls back to a rank-revealing SVD least-squares solve when the Gram
-    matrix is numerically indefinite (possible only for alpha == 0).
+    Returns the factorization it solved with and B, so that callers can
+    reuse the one factorization. Falls back to a rank-revealing SVD
+    least-squares solve, and returns None for the factorization, when the
+    Gram matrix is numerically indefinite (possible only for alpha == 0).
     """
     Dx = _as_matrix(Dx, "Dx")
     Dy = _as_matrix(Dy, "Dy")
@@ -79,23 +79,19 @@ def solve_regularized_ls(Dx, Dy, alpha: float) -> np.ndarray:
         raise ValueError("Dx and Dy must have the same number of rows")
     try:
         gram = RegularizedGram(Dx, alpha)
-        return gram.solve(Dx.T @ Dy)
+        return gram, gram.solve(Dx.T @ Dy)
     except SingularSystemError:
         if alpha > 0:
             raise
         B, _, rank, _ = np.linalg.lstsq(Dx, Dy, rcond=None)
         if not np.all(np.isfinite(B)):
             raise SingularSystemError("least-squares fallback failed")
-        return B
+        return None, B
 
 
-def hat_matrix_row(gram: RegularizedGram, Dx, i: int) -> np.ndarray:
-    """Row i of H = Dx U^{-1} Dx^T without materializing all of H."""
-    Dx = _as_matrix(Dx, "Dx")
-    n = Dx.shape[0]
-    if not 0 <= i < n:
-        raise IndexError(f"row index {i} out of range for {n} rows")
-    return Dx @ gram.solve(Dx[i])
+def solve_regularized_ls(Dx, Dy, alpha: float) -> np.ndarray:
+    """B alone from fit_ridge."""
+    return fit_ridge(Dx, Dy, alpha)[1]
 
 
 def leverages(gram: RegularizedGram, Dx) -> np.ndarray:

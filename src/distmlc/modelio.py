@@ -4,7 +4,8 @@ A model file is a zip archive holding a versioned JSON manifest plus
 row-major little-endian float64 blobs for each array. Writing is fully
 deterministic (fixed timestamps, fixed member order), so retraining on
 identical inputs yields byte-identical files, and load(save(m)) gives
-bit-identical predictions.
+bit-identical predictions. Loaded arrays are read-only views of the
+bytes read from the file.
 """
 from __future__ import annotations
 
@@ -40,8 +41,8 @@ def _blob(a: np.ndarray) -> bytes:
 
 
 def _unblob(raw: bytes, shape) -> np.ndarray:
-    a = np.frombuffer(raw, dtype="<f8").reshape(shape)
-    return a.astype(np.float64)
+    # a read-only view of the bytes read from the archive, not a copy
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
 def _write(path, manifest: dict, blobs: dict) -> None:
@@ -67,19 +68,12 @@ def save_model(path, model, method: str, fingerprint: str = "") -> None:
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
 
-    blobs = {
-        "references": _blob(base.references),
-        "coefficients": _blob(base.coefficients),
-        "train_labels": _blob(base.train_labels),
-    }
-    shapes = {
-        "references": list(base.references.shape),
-        "coefficients": list(base.coefficients.shape),
-        "train_labels": list(base.train_labels.shape),
-    }
+    arrays = {"references": base.references, "coefficients": base.coefficients,
+              "train_labels": base.train_labels}
     if isinstance(model, BrMlmModel):
-        blobs["label_coefficients"] = _blob(model.label_coefficients)
-        shapes["label_coefficients"] = list(model.label_coefficients.shape)
+        arrays["label_coefficients"] = model.label_coefficients
+    blobs = {name: _blob(a) for name, a in arrays.items()}
+    shapes = {name: list(a.shape) for name, a in arrays.items()}
 
     manifest = {
         "format_version": FORMAT_VERSION,

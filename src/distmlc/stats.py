@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2, rankdata
 
 LOWER_BETTER = "lower_better"
 HIGHER_BETTER = "higher_better"
@@ -73,6 +72,7 @@ class ResultTable:
 
 def average_ranks(table: ResultTable) -> np.ndarray:
     """Per-dataset midranks (1 = best in the table's direction), averaged."""
+    from scipy.stats import rankdata  # on use: slower to import than distmlc
     vals = table.values if table.direction == LOWER_BETTER else -table.values
     ranks = np.vstack([rankdata(row, method="average") for row in vals])
     return ranks.mean(axis=0)
@@ -80,6 +80,7 @@ def average_ranks(table: ResultTable) -> np.ndarray:
 
 def friedman_test(table: ResultTable, alpha: float = 0.05) -> tuple[float, bool]:
     """Friedman chi-square statistic over the rank table and its alpha-level verdict."""
+    from scipy.stats import chi2
     n, k = table.values.shape
     R = average_ranks(table) * n  # rank sums
     stat = 12.0 / (n * k * (k + 1)) * float((R**2).sum()) - 3.0 * n * (k + 1)

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RegularizedGram, pairwise_distances, solve_regularized_ls
+from .linalg import RegularizedGram, SingularSystemError, leverages
+from .metrics import ranking_loss
 from . import models as _models
 
 POWER_GRID_EXPONENTS = np.round(np.arange(0.0, 8.01, 0.1), 1)  # 81 values
@@ -31,31 +32,24 @@ class TunedMlMlm:
     lrl_curve: tuple[tuple[float, float], ...]
 
 
-def loo_deltas(Dx, Dy, alpha: float) -> np.ndarray:
+def loo_deltas(gram: RegularizedGram, Dx, Dy, B) -> np.ndarray:
     """Out-of-sample distance predictions for every training instance.
 
     Row i is the distance profile that instance i would receive from a
     model trained without it, obtained from the leverage values of the
-    ridge fit instead of retraining N times.
+    ridge fit B (gram factors its Gram matrix) instead of retraining N times.
     """
-    Dx = np.asarray(Dx, dtype=np.float64)
-    Dy = np.asarray(Dy, dtype=np.float64)
-    B = solve_regularized_ls(Dx, Dy, alpha)
-    gram = RegularizedGram(Dx, alpha)
-    h = np.einsum("ij,ji->i", Dx, gram.solve(Dx.T))
+    h = leverages(gram, Dx)
     bad = np.nonzero(h >= 1.0 - 1e-12)[0]
     if bad.size:
         raise LeverageError(
             f"leverage >= 1 for instance(s) {bad.tolist()}; "
             "increase alpha to keep the LOO formula well-defined"
         )
-    Dy_hat = Dx @ B
-    return (Dy_hat - h[:, None] * Dy) / (1.0 - h)[:, None]
-
-
-def _usable_mask(Y: np.ndarray) -> np.ndarray:
-    pos = Y.sum(axis=1)
-    return (pos > 0) & (pos < Y.shape[1])
+    loo = np.asarray(Dx, dtype=np.float64) @ B
+    loo -= h[:, None] * np.asarray(Dy, dtype=np.float64)
+    loo /= (1.0 - h)[:, None]
+    return loo
 
 
 def lrl(loo, Y, P: float) -> float:
@@ -65,26 +59,9 @@ def lrl(loo, Y, P: float) -> float:
     profile are checked against its ground-truth bipartition; the value is
     the mean fraction of (relevant, irrelevant) pairs ranked strictly
     wrongly. Instances with all-relevant or all-irrelevant rows are
-    skipped (the pair count is zero there).
+    skipped (the pair count is zero there). Scores are unbounded, as in search_power.
     """
-    Y = np.asarray(Y, dtype=np.float64)
-    usable = _usable_mask(Y)
-    if not usable.any():
-        raise ValueError("no instance has both relevant and irrelevant labels")
-    scores = _models.idw_scores_batch(np.asarray(loo), Y, P)
-    return _ranking_loss_rows(scores[usable], Y[usable])
-
-
-def _ranking_loss_rows(scores: np.ndarray, Y: np.ndarray) -> float:
-    # violation: relevant label scored strictly below an irrelevant one;
-    # ties are not counted
-    total = 0.0
-    for z, g in zip(scores, Y):
-        rel = z[g == 1.0]
-        irr = z[g == 0.0]
-        viol = np.count_nonzero(rel[:, None] < irr[None, :])
-        total += viol / (rel.size * irr.size)
-    return total / scores.shape[0]
+    return ranking_loss(_models.idw_scores_from_log(_models.log_distances(loo), Y, P), Y)
 
 
 def search_power(loo, Y) -> tuple[float, tuple[tuple[float, float], ...]]:
@@ -93,18 +70,15 @@ def search_power(loo, Y) -> tuple[float, tuple[tuple[float, float], ...]]:
     Returns the winning P (ties go to the smallest grid point) and the
     full (P, LRL) curve.
     """
-    loo = np.asarray(loo, dtype=np.float64)
+    # Scores are not bounded by 1 here: that would turn round-off pairs (relevant
+    # at 1.0, irrelevant at 1 + 2e-16) from violations into ties and move the curve.
     Y = np.asarray(Y, dtype=np.float64)
+    log_d = _models.log_distances(loo)  # shared by all 81 grid points
     curve = []
-    best_p = None
-    best_val = np.inf
     for s in POWER_GRID_EXPONENTS:
         P = float(2.0**s)
-        val = lrl(loo, Y, P)
-        curve.append((P, val))
-        if val < best_val:
-            best_val = val
-            best_p = P
+        curve.append((P, ranking_loss(_models.idw_scores_from_log(log_d, Y, P), Y)))
+    best_p = min(curve, key=lambda point: point[1])[0]  # first of equal minima
     return best_p, tuple(curve)
 
 
@@ -129,17 +103,20 @@ def cardinality_threshold(loo_scores, Y) -> float:
     return float(candidates[np.nonzero(gap == best)[0].max()])
 
 
-def local_rcut(scores, k_cut: int) -> np.ndarray:
-    """Keep the k_cut highest-scored labels; score ties go to smaller indices."""
+def local_rcut(scores, k_cut) -> np.ndarray:
+    """Keep the k_cut highest-scored labels; score ties go to smaller indices.
+
+    scores is one row of L scores with an int k_cut, or a Q x L matrix
+    with one k_cut per row.
+    """
     scores = np.asarray(scores, dtype=np.float64)
-    L = scores.shape[0]
-    if not 0 <= k_cut <= L:
+    k_cut = np.asarray(k_cut)
+    L = scores.shape[-1]
+    if np.any((k_cut < 0) | (k_cut > L)):
         raise ValueError(f"k_cut must be in [0, {L}]")
-    out = np.zeros(L, dtype=np.int64)
-    if k_cut:
-        order = np.argsort(-scores, kind="stable")
-        out[order[:k_cut]] = 1
-    return out
+    order = np.argsort(-scores, axis=-1, kind="stable")
+    rank = np.argsort(order, axis=-1)  # each label's place in that order
+    return (rank < k_cut[..., None]).astype(np.int64)
 
 
 def tune_ml_mlm(
@@ -150,16 +127,17 @@ def tune_ml_mlm(
 
     power_mode is "tuned" or a fixed positive float; threshold_mode is
     "cardinality" or a fixed float. The leave-one-out distances are
-    computed only when some hyper-parameter actually needs them.
+    computed only when some hyper-parameter actually needs them, from
+    the factorization the fit already made.
     """
-    model = _models.train(X, Y, alpha_mode=alpha_mode, label_names=label_names)
-    X = np.asarray(X, dtype=np.float64)
-    need_loo = power_mode == "tuned" or threshold_mode == "cardinality"
+    model, Dx, Dy, gram, B = _models.fit(
+        X, Y, alpha_mode=alpha_mode, label_names=label_names)
     loo = None
-    if need_loo:
-        Dx = pairwise_distances(X, model.references)
-        Dy = pairwise_distances(model.train_labels, model.train_labels)
-        loo = loo_deltas(Dx, Dy, model.alpha)
+    if power_mode == "tuned" or threshold_mode == "cardinality":
+        if gram is None:
+            raise SingularSystemError("U = Dx^T Dx + alpha*I is not positive definite")
+        loo = loo_deltas(gram, Dx, Dy, B)
+    del Dx, Dy, gram, B  # the rest needs only the LOO matrix
     if power_mode == "tuned":
         power, curve = search_power(loo, model.train_labels)
     else:
@@ -168,7 +146,7 @@ def tune_ml_mlm(
             raise ValueError("fixed power must be positive")
         curve = ()
     if threshold_mode == "cardinality":
-        loo_scores = _models.idw_scores_batch(loo, model.train_labels, power)
+        loo_scores = _models.idw_scores(loo, model.train_labels, power)
         threshold = cardinality_threshold(loo_scores, model.train_labels)
     else:
         threshold = float(threshold_mode)

@@ -52,6 +52,15 @@ def naive_pairwise(A, B):
     return out
 
 
+def loo_from_fit(Dx, Dy, alpha):
+    """tuning.loo_deltas on the ridge fit of Dx, Dy at alpha."""
+    from distmlc.linalg import fit_ridge
+    from distmlc.tuning import loo_deltas
+
+    gram, B = fit_ridge(Dx, Dy, alpha)
+    return loo_deltas(gram, Dx, Dy, B)
+
+
 def pinv_ridge(Dx, Dy, alpha):
     K = Dx.shape[1]
     U = Dx.T @ Dx + alpha * np.eye(K)

@@ -17,8 +17,10 @@ expected.npz  what distmlc computes on it:
               predict`) the arrays <source>_<decoder>_scores, _labels,
               _min_distance and _uncertainty.
 
-The outputs are fixed: rerun this only to check that they are still
-reproduced, never to make a failing golden test pass.
+tests/test_golden.py recomputes the outputs with the functions below
+and compares them with these files. Running this script rewrites the
+files: do that only to make new goldens on purpose, never to make a
+failing golden test pass.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from distmlc import cli, models, tuning
-from distmlc.linalg import pairwise_distances
+from distmlc.linalg import fit_ridge, pairwise_distances
 
 HERE = Path(__file__).resolve().parent
 SEED = 20230509
@@ -112,7 +114,8 @@ def tuning_outputs(problem: dict) -> dict:
     model = tuned.model
     Dx = pairwise_distances(X, model.references)
     Dy = pairwise_distances(Y, Y)
-    loo = tuning.loo_deltas(Dx, Dy, model.alpha)
+    gram, B = fit_ridge(Dx, Dy, model.alpha)
+    loo = tuning.loo_deltas(gram, Dx, Dy, B)
     return {
         "ml_alpha": np.float64(model.alpha),
         "ml_power": np.float64(tuned.power),

@@ -14,7 +14,7 @@ import pytest
 from distmlc import cli, data as dataio, metrics, models, stats, tuning
 from distmlc.linalg import pairwise_distances
 
-from conftest import mulan_paths, random_problem
+from conftest import loo_from_fit, mulan_paths, random_problem
 from test_metrics import (
     oracle_accuracy,
     oracle_average_precision,
@@ -115,7 +115,7 @@ class TestCriterion2:
             refs = models.unique_rows(X)
             Dx = pairwise_distances(X, refs)
             Dy = pairwise_distances(Y, Y)
-            loo = tuning.loo_deltas(Dx, Dy, alpha)
+            loo = loo_from_fit(Dx, Dy, alpha)
             oracle = naive_loo_oracle(Dx, Dy, alpha, X, Y, refs)
             worst = max(worst, float(np.abs(loo - oracle).max()))
         elapsed = time.perf_counter() - start

@@ -88,6 +88,11 @@ class TestTrainPredictEvaluate:
         lines = curve.read_text().strip().splitlines()
         assert lines[0] == "s,P,LRL"
         assert len(lines) == 82
+        for line in lines[1:]:
+            fields = line.split(",")
+            assert len(fields) == 3
+            for field in fields:
+                float(field)
 
     def test_local_rcut_threshold_flag(self, tmp_path, toy_specs):
         train, test = toy_specs

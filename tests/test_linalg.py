@@ -4,7 +4,6 @@ import pytest
 from distmlc.linalg import (
     RegularizedGram,
     SingularSystemError,
-    hat_matrix_row,
     leverages,
     pairwise_distances,
     solve_regularized_ls,
@@ -97,28 +96,7 @@ class TestSolveRegularizedLs:
 
 
 class TestHatMatrixRow:
-    def test_identity_projection(self):
-        I3 = np.eye(3)
-        gram = RegularizedGram(I3, 0.0)
-        for i in range(3):
-            row = hat_matrix_row(gram, I3, i)
-            np.testing.assert_allclose(row, I3[i], atol=1e-12)
-            assert abs(row[i] - 1.0) < 1e-12
-
-    def test_half_leverage(self):
-        I2 = np.eye(2)
-        gram = RegularizedGram(I2, 1.0)
-        for i in range(2):
-            assert abs(hat_matrix_row(gram, I2, i)[i] - 0.5) < 1e-12
-
-    def test_matches_full_matrix_oracle(self):
-        rng = np.random.default_rng(14)
-        Dx = rng.normal(size=(15, 6))
-        alpha = 0.01
-        H = Dx @ np.linalg.inv(Dx.T @ Dx + alpha * np.eye(6)) @ Dx.T
-        gram = RegularizedGram(Dx, alpha)
-        for i in range(15):
-            np.testing.assert_allclose(hat_matrix_row(gram, Dx, i), H[i], atol=1e-10)
+    """Leverages: the diagonal of the hat matrix H = Dx U^{-1} Dx^T."""
 
     def test_leverages_in_unit_interval_for_positive_alpha(self):
         rng = np.random.default_rng(15)
@@ -126,11 +104,6 @@ class TestHatMatrixRow:
         gram = RegularizedGram(Dx, 0.05)
         h = leverages(gram, Dx)
         assert (h >= 0).all() and (h < 1).all()
-
-    def test_out_of_range_index(self):
-        gram = RegularizedGram(np.eye(3), 1.0)
-        with pytest.raises(IndexError):
-            hat_matrix_row(gram, np.eye(3), 3)
 
 
 def test_gram_not_positive_definite_raises():

@@ -24,6 +24,9 @@ class TestRoundTrip:
         assert manifest["method"] == "ml-mlm"
         assert loaded.power == tuned.power
         assert loaded.threshold == tuned.threshold
+        base = loaded.model
+        for arr in (base.references, base.coefficients, base.train_labels):
+            assert not arr.flags.writeable
         for x in X[:5]:
             a = models.ml_mlm_predict(tuned, x)
             b = models.ml_mlm_predict(loaded, x)
@@ -37,9 +40,12 @@ class TestRoundTrip:
         p = tmp_path / "m.dmlm"
         modelio.save_model(p, model, "br-mlm")
         loaded, _ = modelio.load_model(p)
+        assert not loaded.label_coefficients.flags.writeable
+        assert not loaded.base.coefficients.flags.writeable
         a = models.br_mlm_predict(model, X[0])
         b = models.br_mlm_predict(loaded, X[0])
         assert (a.scores == b.scores).all()
+        assert (a.labels == b.labels).all()
 
     def test_plain_model_round_trip(self, problem, tmp_path):
         X, Y = problem

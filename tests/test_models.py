@@ -57,6 +57,20 @@ class TestTrain:
         with pytest.raises(ValueError):
             models.train(np.eye(3), np.eye(3) * 2.0, alpha_mode=0.1)
 
+    def test_near_duplicate_inputs_alpha_zero(self):
+        # Dx^T Dx is numerically singular: the plain model falls back to an
+        # SVD solve, while br-mlm and the LOO tuning need the factorization
+        from distmlc.linalg import SingularSystemError
+
+        X = np.array([[0.0], [1e-9], [1.0], [2.0], [3.0]])
+        Y = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 1.0]])
+        model = models.train(X, Y, alpha_mode=0.0)
+        assert np.all(np.isfinite(model.coefficients))
+        with pytest.raises(SingularSystemError):
+            models.train_br(X, Y, alpha_mode=0.0)
+        with pytest.raises(SingularSystemError):
+            tune_ml_mlm(X, Y, alpha_mode=0.0)
+
     def test_rejects_single_unique_input(self):
         with pytest.raises(ValueError):
             models.train(np.zeros((3, 2)), np.ones((3, 2)), alpha_mode=0.1)
@@ -132,6 +146,15 @@ class TestIdwScores:
         Y = (rng.random((len(deltas), 3)) < 0.5).astype(float)
         scores = models.idw_scores(np.array(deltas), Y, P=p)
         assert (scores >= -1e-12).all() and (scores <= 1.0 + 1e-12).all()
+
+    def test_loo_sized_matrix_scores_in_unit_interval(self):
+        # W @ Y and W.sum add in different orders; unbounded, one of these
+        # 21,000 scores came out 2.2e-16 above 1
+        rng = np.random.default_rng(61)
+        D = 2.0 * rng.random((1500, 1500))
+        Y = (rng.random((1500, 14)) < 0.3).astype(float)
+        scores = models.idw_scores(D, Y, P=64.0)
+        assert ((scores >= 0.0) & (scores <= 1.0)).all()
 
     def test_weight_monotonicity(self):
         # closer reference gets strictly more weight for any positive power
@@ -350,3 +373,27 @@ def test_large_power_limit_matches_nearest_reference():
         nn = models.nn_mlm_predict(model, x)
         rcut = models.ml_mlm_predict_rcut(tuned, x)
         np.testing.assert_array_equal(rcut.labels, nn.labels)
+
+
+@pytest.mark.parametrize("decoder", ["ml", "ml-rcut", "nn", "lls", "br"])
+def test_matrix_query_matches_one_row_queries(decoder):
+    rng = np.random.default_rng(27)
+    X, Y = random_problem(rng, n=25, m=4, l=4)
+    tuned = tune_ml_mlm(X, Y, alpha_mode=0.1)
+    call, model = {
+        "ml": (models.ml_mlm_predict, tuned),
+        "ml-rcut": (models.ml_mlm_predict_rcut, tuned),
+        "nn": (models.nn_mlm_predict, tuned.model),
+        "lls": (models.lls_mlm_predict, tuned.model),
+        "br": (models.br_mlm_predict, models.train_br(X, Y, alpha_mode=0.1)),
+    }[decoder]
+    Q = rng.normal(size=(6, 4))
+    batch = call(model, Q)
+    rows = [call(model, q) for q in Q]
+    assert batch.scores.shape == (6, 4) and batch.labels.shape == (6, 4)
+    np.testing.assert_allclose(batch.scores, [r.scores for r in rows], rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(batch.labels, [r.labels for r in rows])
+    np.testing.assert_allclose(batch.min_distance, [r.min_distance for r in rows], rtol=1e-12)
+    assert list(batch.uncertainty) == [r.uncertainty for r in rows]
+    assert all(isinstance(r.min_distance, float) and isinstance(r.uncertainty, str)
+               for r in rows)

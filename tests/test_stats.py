@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import chi2, studentized_range
 
+import distmlc
 from distmlc import stats
 
 
@@ -152,3 +157,17 @@ class TestCdDiagram:
         ])
         d = stats.cd_diagram_data(make_table(vals))
         assert [["m0"], ["m1"], ["m2"]] == d["groups"]
+
+
+def test_package_import_leaves_scipy_stats_unimported():
+    # scipy.stats takes longer to import than all of distmlc; only the
+    # stats functions need it, so they import it when they run
+    src = str(Path(distmlc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, distmlc; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from distmlc import models, tuning
 from distmlc.linalg import pairwise_distances
+from distmlc.metrics import ranking_loss
 
-from conftest import random_problem
+from conftest import loo_from_fit, random_problem
 
 
 def naive_loo_oracle(Dx, Dy, alpha, X, Y, refs):
@@ -30,7 +31,7 @@ class TestLooDeltas:
         refs = models.unique_rows(X)
         Dx = pairwise_distances(X, refs)
         Dy = pairwise_distances(Y, Y)
-        loo = tuning.loo_deltas(Dx, Dy, 0.1)
+        loo = loo_from_fit(Dx, Dy, 0.1)
         oracle = naive_loo_oracle(Dx, Dy, 0.1, X, Y, refs)
         assert np.abs(loo - oracle).max() < 1e-8
 
@@ -42,7 +43,7 @@ class TestLooDeltas:
         rng = np.random.default_rng(42)
         Dy = rng.random((n, 3))
         alpha = 1.0
-        loo = tuning.loo_deltas(Dx, Dy, alpha)
+        loo = loo_from_fit(Dx, Dy, alpha)
         h = 1.0 / (1.0 + alpha)
         expected = (h * Dy - h * Dy) / (1.0 - h)  # Dy_hat = H Dy = h*Dy
         np.testing.assert_allclose(loo, expected, atol=1e-12)
@@ -53,14 +54,14 @@ class TestLooDeltas:
         refs = models.unique_rows(X)
         Dx = pairwise_distances(X, refs)
         Dy = pairwise_distances(Y, Y)
-        loo = tuning.loo_deltas(Dx, Dy, 0.5)
+        loo = loo_from_fit(Dx, Dy, 0.5)
         assert np.all(np.isfinite(loo))
 
     def test_leverage_near_one_reported(self):
         Dx = np.eye(3)
         Dy = np.eye(3)
         with pytest.raises(tuning.LeverageError) as err:
-            tuning.loo_deltas(Dx, Dy, 0.0)
+            loo_from_fit(Dx, Dy, 0.0)
         assert "0" in str(err.value)
 
 
@@ -79,9 +80,7 @@ class TestLrl:
     def test_pair_enumeration(self):
         # one instance, scores [0.2, 0.5, 0.1] vs truth [1,0,0]:
         # pair (0,1) violated, pair (0,2) fine -> 0.5
-        from distmlc.tuning import _ranking_loss_rows
-
-        val = _ranking_loss_rows(
+        val = ranking_loss(
             np.array([[0.2, 0.5, 0.1]]), np.array([[1.0, 0.0, 0.0]])
         )
         assert val == 0.5
@@ -105,10 +104,8 @@ class TestLrl:
         Y[Y.sum(axis=1) == 0, 0] = 1.0
         Y[Y.sum(axis=1) == 4] = [1.0, 1.0, 1.0, 0.0]
         scores = rng.random((6, 4))
-        from distmlc.tuning import _ranking_loss_rows
-
-        a = _ranking_loss_rows(scores, Y)
-        b = _ranking_loss_rows(np.exp(3.0 * scores) + 7.0, Y)
+        a = ranking_loss(scores, Y)
+        b = ranking_loss(np.exp(3.0 * scores) + 7.0, Y)
         assert a == b
 
 
@@ -120,7 +117,7 @@ class TestSearchPower:
         refs = models.unique_rows(X)
         Dx = pairwise_distances(X, refs)
         Dy = pairwise_distances(Y, Y)
-        loo = tuning.loo_deltas(Dx, Dy, 0.1)
+        loo = loo_from_fit(Dx, Dy, 0.1)
         p, curve = tuning.search_power(loo, Y)
         assert len(curve) == 81
         assert p in {pp for pp, _ in curve}
@@ -139,7 +136,7 @@ class TestSearchPower:
         refs = models.unique_rows(X)
         Dx = pairwise_distances(X, refs)
         Dy = pairwise_distances(Y, Y)
-        loo = tuning.loo_deltas(Dx, Dy, 0.1)
+        loo = loo_from_fit(Dx, Dy, 0.1)
         assert tuning.search_power(loo, Y) == tuning.search_power(loo.copy(), Y.copy())
 
 
