@@ -2,14 +2,15 @@
 parameter P, the curve the tuner minimizes.
 
 The LOO distance estimates come from the hat-matrix identity, so the
-whole 81-point grid costs one factorization, not 81 retrains.
+whole 81-point grid costs one factorization, not 81 retrains. They are
+distances to the U unique training label vectors, which the IDW scores
+weight by how many training rows carry each.
 
 Run: python3 demos/power_curve.py
 """
 import numpy as np
 
 from distmlc import models, tuning
-from distmlc.linalg import fit_ridge, pairwise_distances
 
 rng = np.random.default_rng(3)
 n, m, l = 120, 5, 6
@@ -19,16 +20,14 @@ Y = ((X @ W + 0.3 * rng.normal(size=(n, l))) > 0.4).astype(float)
 Y[Y.sum(axis=1) == 0, 0] = 1.0
 Y[Y.sum(axis=1) == l, -1] = 0.0
 
-refs = models.unique_rows(X)
-alpha = models.auto_alpha(refs)
-Dx = pairwise_distances(X, refs)
-Dy = pairwise_distances(Y, Y)
-gram, B = fit_ridge(Dx, Dy, alpha)
-loo = tuning.loo_deltas(gram, Dx, Dy, B)
-best_p, curve = tuning.search_power(loo, Y)
+model, Dx, Dy, gram, B = models.fit(X, Y)  # auto alpha
+alpha = model.alpha
+loo = tuning.loo_deltas(gram, Dx, Dy, B)  # N instances x U label vectors
+best_p, curve = tuning.search_power(loo, Y, model.train_labels, model.label_counts)
 
 values = np.array([v for _, v in curve])
 lo, hi = values.min(), values.max()
+print(f"{len(Y)} rows, {len(model.train_labels)} unique label vectors")
 print(f"alpha = {alpha:.4g}, best P = {best_p:.3f} "
       f"(exponent {np.log2(best_p):.1f}), LRL = {lo:.4f}\n")
 print(" s     P        LRL")

@@ -8,7 +8,7 @@ are tuned with closed-form leave-one-out machinery; a full multi-label
 metric suite and Friedman/Nemenyi comparison tooling are included.
 """
 from .data import Dataset, SplitPair, parse_arff, parse_csv, validate
-from .linalg import pairwise_distances, solve_regularized_ls
+from .linalg import pairwise_distances
 from .metrics import EvalReport, LabelStats, evaluate, label_stats
 from .models import (
     BrMlmModel,
@@ -16,12 +16,10 @@ from .models import (
     Prediction,
     auto_alpha,
     br_mlm_predict,
-    brute_force_mlc,
     categorize_uncertainty,
     idw_scores,
     lls_mlm_predict,
     ml_mlm_predict,
-    multilateration_objective,
     nn_mlm_predict,
     predict_deltas,
     train,
@@ -54,7 +52,6 @@ __all__ = [
     "auto_alpha",
     "average_ranks",
     "br_mlm_predict",
-    "brute_force_mlc",
     "cardinality_threshold",
     "categorize_uncertainty",
     "cd_diagram_data",
@@ -68,7 +65,6 @@ __all__ = [
     "loo_deltas",
     "lrl",
     "ml_mlm_predict",
-    "multilateration_objective",
     "nemenyi_cd",
     "nn_mlm_predict",
     "pairwise_distances",
@@ -77,7 +73,6 @@ __all__ = [
     "predict_deltas",
     "save_model",
     "search_power",
-    "solve_regularized_ls",
     "train",
     "train_br",
     "tune_ml_mlm",

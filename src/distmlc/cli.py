@@ -88,9 +88,9 @@ def fit_method(method, ds, alpha="auto", power="tuned", threshold="cardinality")
     raise UsageError(f"unknown method {method!r}")
 
 
-# Rows per predict_dataset chunk: this budget over the 8*N bytes of one row's N
-# predicted distances (8*N*L for br-mlm). Chunk temporaries then peak near 4 MB
-# for a 1,500-row ml-mlm model and 3 MB for a 645-row, 45-label br-mlm model.
+# Rows per predict_dataset chunk: this budget over the bytes of one row's K input
+# distances and U predicted distances (U*L for br-mlm), K references and U unique
+# label vectors. A chunk's temporaries then stay within a few MB.
 PREDICT_CHUNK_BYTES = 1 << 20
 
 
@@ -118,7 +118,8 @@ def predict_dataset(method, model, ds, threshold=None) -> models.Prediction:
     elif method == "ml-mlm" and threshold not in (None, "cardinality"):
         model = replace(model, threshold=float(threshold), lrl_curve=())
     base = _base_model(model)
-    row_bytes = 8 * len(base.train_labels) * (base.n_labels if method == "br-mlm" else 1)
+    K, U = base.coefficients.shape
+    row_bytes = 8 * (K + U * (base.n_labels if method == "br-mlm" else 1))
     step = max(1, PREDICT_CHUNK_BYTES // row_bytes)
     X = ds.features
     parts = [decode(model, X[i:i + step]) for i in range(0, X.shape[0], step)]

@@ -255,19 +255,6 @@ def parse_csv(features_path, labels_path, name: str | None = None) -> Dataset:
     )
 
 
-def export_csv(ds: Dataset, features_path, labels_path) -> None:
-    """Write the dataset back out as a CSV pair (round-trips bit-exactly)."""
-    for path, names, mat in (
-        (features_path, ds.feature_names, ds.features),
-        (labels_path, ds.label_names, ds.labels),
-    ):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(names)
-            for row in mat:
-                w.writerow([repr(float(v)) for v in row])
-
-
 def min_max_scale(ds: Dataset) -> Dataset:
     """Scale each feature column to [0, 1]; constant columns map to 0."""
     X = ds.features

@@ -89,11 +89,6 @@ def fit_ridge(Dx, Dy, alpha: float) -> tuple[RegularizedGram | None, np.ndarray]
         return None, B
 
 
-def solve_regularized_ls(Dx, Dy, alpha: float) -> np.ndarray:
-    """B alone from fit_ridge."""
-    return fit_ridge(Dx, Dy, alpha)[1]
-
-
 def leverages(gram: RegularizedGram, Dx) -> np.ndarray:
     """Diagonal of H = Dx U^{-1} Dx^T, length N."""
     Dx = _as_matrix(Dx, "Dx")

@@ -5,7 +5,12 @@ row-major little-endian float64 blobs for each array. Writing is fully
 deterministic (fixed timestamps, fixed member order), so retraining on
 identical inputs yields byte-identical files, and load(save(m)) gives
 bit-identical predictions. Loaded arrays are read-only views of the
-bytes read from the file.
+bytes read from the file, checked for shape and content before use.
+
+Format 2 keeps the U unique training label vectors (train_labels) and
+their counts (label_counts); coefficients are K x U and br-mlm's
+label_coefficients L x K x U. Format 1 files, which held all N label
+vectors, are refused with a request to retrain.
 """
 from __future__ import annotations
 
@@ -18,7 +23,7 @@ import numpy as np
 from .models import BrMlmModel, DistanceModel
 from .tuning import TunedMlMlm
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _EPOCH = (1980, 1, 1, 0, 0, 0)
 
 
@@ -69,7 +74,7 @@ def save_model(path, model, method: str, fingerprint: str = "") -> None:
         raise TypeError(f"cannot serialize {type(model).__name__}")
 
     arrays = {"references": base.references, "coefficients": base.coefficients,
-              "train_labels": base.train_labels}
+              "train_labels": base.train_labels, "label_counts": base.label_counts}
     if isinstance(model, BrMlmModel):
         arrays["label_coefficients"] = model.label_coefficients
     blobs = {name: _blob(a) for name, a in arrays.items()}
@@ -88,23 +93,53 @@ def save_model(path, model, method: str, fingerprint: str = "") -> None:
     _write(path, manifest, blobs)
 
 
+def _check_arrays(arrays: dict, method: str) -> None:
+    """Raise ModelFileError unless the arrays make a consistent model."""
+    def fail(what: str):
+        raise ModelFileError(f"invalid model file: {what}")
+
+    for name, a in arrays.items():
+        if not np.all(np.isfinite(a)):
+            fail(f"{name} holds non-finite values")
+    refs, coef = arrays["references"], arrays["coefficients"]
+    labels, counts = arrays["train_labels"], arrays["label_counts"]
+    if refs.ndim != 2 or labels.ndim != 2:
+        fail("references and train_labels must be matrices")
+    K, (U, L) = refs.shape[0], labels.shape
+    if not np.all((labels == 0.0) | (labels == 1.0)):
+        fail("train_labels must hold only 0 and 1")
+    if coef.shape != (K, U):
+        fail(f"coefficients are {coef.shape}, expected {(K, U)} (K x U)")
+    if counts.shape != (U,) or not np.all((counts >= 1.0) & (counts == np.round(counts))):
+        fail(f"label_counts must be {U} positive whole numbers")
+    if method == "br-mlm" and arrays["label_coefficients"].shape != (L, K, U):
+        fail(f"label_coefficients are {arrays['label_coefficients'].shape}, "
+             f"expected {(L, K, U)} (L x K x U)")
+
+
 def load_model(path):
     """Read a model file back; returns (model object, manifest dict)."""
     try:
         with zipfile.ZipFile(path, "r") as zf:
             manifest = json.loads(zf.read("manifest.json"))
-            if manifest.get("format_version") != FORMAT_VERSION:
+            version = manifest.get("format_version")
+            if version == 1:
                 raise ModelFileError(
-                    f"unsupported format_version {manifest.get('format_version')}"
-                )
+                    f"{path} is a format 1 model file, which this version of distmlc "
+                    "no longer reads; retrain the model to write format "
+                    f"{FORMAT_VERSION}")
+            if version != FORMAT_VERSION:
+                raise ModelFileError(f"unsupported format_version {version}")
             dims = manifest["dimensions"]
+            method = manifest["method"]
             arrays = {}
             for name, shape in dims.items():
                 raw = zf.read(name + ".f64")
                 if len(raw) != 8 * int(np.prod(shape)):
                     raise ModelFileError(f"blob size mismatch for {name}")
                 arrays[name] = _unblob(raw, shape)
-    except (KeyError, zipfile.BadZipFile, json.JSONDecodeError) as exc:
+            _check_arrays(arrays, method)
+    except (KeyError, TypeError, zipfile.BadZipFile, json.JSONDecodeError) as exc:
         raise ModelFileError(f"cannot read model file {path}: {exc}") from exc
 
     base = DistanceModel(
@@ -113,8 +148,8 @@ def load_model(path):
         alpha=float(manifest["alpha"]),
         train_labels=arrays["train_labels"],
         label_names=tuple(manifest["label_names"]),
+        label_counts=arrays["label_counts"],
     )
-    method = manifest["method"]
     if method == "ml-mlm":
         model = TunedMlMlm(
             model=base,

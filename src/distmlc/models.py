@@ -4,12 +4,16 @@ The shared training step fits a linear map from input-space distance
 profiles to label-space distance profiles. Four predictors consume the
 predicted distances: IDW-weighted scoring (ml-mlm), nearest reference
 lookup (nn-mlm), an anchor-linearized multilateration solve (lls-mlm),
-and per-label closed-form cubic solves (br-mlm). A brute-force
-enumerator over {0,1}^L is kept as a test oracle.
+and per-label closed-form cubic solves (br-mlm).
+
+Training rows that share a label vector share their label-space distance
+column, so the fit keeps each distinct label vector once, in first-seen
+order, with its multiplicity. Every predictor weights a label vector by
+its count, which gives exactly the predictions of a fit against all N
+training rows.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +31,13 @@ UNCERTAINTY_HIGH = "high"
 class DistanceModel:
     """Trained distance-regression model.
 
-    references: K x M unique training inputs.
-    coefficients: K x N map from input-distance profiles to label-space
-        distance estimates against all N training label vectors.
-    train_labels: N x L binary label matrix.
+    references: K x M unique training inputs, in first-seen order.
+    coefficients: K x U map from input-distance profiles to label-space
+        distance estimates against the U unique training label vectors.
+    train_labels: U x L binary matrix of the unique training label
+        vectors, in first-seen order.
+    label_counts: length-U float array, how many training rows carry each
+        of them (they sum to N). Defaults to all ones.
     """
 
     references: np.ndarray
@@ -38,12 +45,17 @@ class DistanceModel:
     alpha: float
     train_labels: np.ndarray
     label_names: tuple[str, ...] = ()
+    label_counts: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.label_counts is None:
+            object.__setattr__(self, "label_counts", np.ones(self.train_labels.shape[0]))
         if self.coefficients.shape[0] != self.references.shape[0]:
             raise ValueError("coefficient rows must equal reference count")
         if self.coefficients.shape[1] != self.train_labels.shape[0]:
-            raise ValueError("coefficient cols must equal training instance count")
+            raise ValueError("coefficient cols must equal unique label vector count")
+        if self.label_counts.shape != (self.train_labels.shape[0],):
+            raise ValueError("need one label count per unique label vector")
 
     @property
     def n_labels(self) -> int:
@@ -59,8 +71,9 @@ class BrMlmModel:
     """Per-label scalar distance models sharing one input-space factorization.
 
     base: the joint distance model (used for nearest-reference cardinality).
-    label_coefficients: L x K x N stack; slice l maps input distances to
-        per-label output distances |y_l - t_l|.
+    label_coefficients: L x K x U stack; slice l maps input distances to
+        per-label output distances |y_l - t_l| against the U unique label
+        vectors t of base.train_labels.
     """
 
     base: DistanceModel
@@ -86,16 +99,17 @@ def _check_binary(Y: np.ndarray, name: str = "Y") -> np.ndarray:
     return Y
 
 
-def auto_alpha(references) -> float:
+def auto_alpha(references, distances=None) -> float:
     """Lower 1/1000-quantile of the positive pairwise reference distances.
 
     Self-distances are excluded; the quantile is taken over the unordered
-    distinct pairs by sorting and indexing at floor(count/1000).
+    distinct pairs by sorting and indexing at floor(count/1000). distances
+    is the K x K reference distance matrix when the caller has it already.
     """
     references = np.asarray(references, dtype=np.float64)
     if references.shape[0] < 2:
         raise ValueError("need at least 2 reference points")
-    d = pairwise_distances(references, references)
+    d = pairwise_distances(references, references) if distances is None else distances
     iu = np.triu_indices(d.shape[0], k=1)
     pair_dists = d[iu]
     pair_dists = pair_dists[pair_dists > 0.0]
@@ -105,43 +119,57 @@ def auto_alpha(references) -> float:
     return float(pair_dists[pair_dists.size // 1000])
 
 
+def first_seen(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the unique rows of A (exact float equality) in first-seen
+    order, and how many rows of A equal each of them."""
+    _, idx, counts = np.unique(A, axis=0, return_index=True, return_counts=True)
+    order = np.argsort(idx)
+    return idx[order], counts[order]
+
+
 def unique_rows(X: np.ndarray) -> np.ndarray:
     """Unique rows of X (exact float equality), keeping first-seen order."""
-    _, idx = np.unique(X, axis=0, return_index=True)
-    return X[np.sort(idx)]
+    return X[first_seen(X)[0]]
 
 
 def fit(X, Y, alpha_mode="auto", label_names=()):
     """Fit the distance-regression map on inputs X (N x M), labels Y (N x L).
 
     alpha_mode is "auto" (pairwise-distance quantile heuristic) or a
-    fixed non-negative float. Returns (model, Dx, Dy, gram, B) so that the
-    leave-one-out tuning and br-mlm reuse the one factorization: gram is
-    fit_ridge's (None after its SVD fallback), B its solution.
+    fixed non-negative float. The output distances are taken to the U
+    unique label vectors only: Dy is N x U. Returns (model, Dx, Dy, gram, B)
+    so that the leave-one-out tuning and br-mlm reuse the one
+    factorization: gram is fit_ridge's (None after its SVD fallback), B
+    its K x U solution.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = _check_binary(Y)
     if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
         raise ValueError("X and Y must be 2-d with matching row counts")
-    references = unique_rows(X)
+    ref_idx, _ = first_seen(X)
+    references = X[ref_idx]
     if references.shape[0] < 2:
         raise ValueError("need at least 2 unique training inputs")
+    Dx = pairwise_distances(X, references)
     if alpha_mode == "auto":
-        alpha = auto_alpha(references)
+        # the references are rows of X, so Dx already holds their distances
+        alpha = auto_alpha(references, Dx[ref_idx])
     else:
         alpha = float(alpha_mode)
         if alpha < 0:
             raise ValueError("alpha must be non-negative")
-    Dx = pairwise_distances(X, references)
-    Dy = pairwise_distances(Y, Y)
+    label_idx, counts = first_seen(Y)
+    labels = Y[label_idx]
+    Dy = pairwise_distances(Y, labels)
     gram, B = fit_ridge(Dx, Dy, alpha)
     # C-contiguous so predictions stay bit-identical after a save/load cycle
     model = DistanceModel(
         references=references,
         coefficients=np.ascontiguousarray(B),
         alpha=alpha,
-        train_labels=Y,
+        train_labels=labels,
         label_names=tuple(label_names),
+        label_counts=counts.astype(np.float64),
     )
     return model, Dx, Dy, gram, B
 
@@ -155,18 +183,19 @@ def train_br(X, Y, alpha_mode="auto", label_names=()) -> BrMlmModel:
     """Fit the binary-relevance variant: one scalar output-distance map per label.
 
     The Gram factorization of the input distances is shared across labels;
-    only the output distance matrix differs per label.
+    only the output distance matrix differs per label: N x U, from every
+    training row to each unique label vector.
     """
     base, Dx, _, gram, _ = fit(X, Y, alpha_mode=alpha_mode, label_names=label_names)
     if gram is None:
         raise SingularSystemError("U = Dx^T Dx + alpha*I is not positive definite")
     projector = gram.solve(Dx.T)  # K x N, shared across labels
-    del Dx, gram, _  # free the fit's matrices before the L x K x N stack
-    Y = base.train_labels
-    L = Y.shape[1]
-    stacks = np.empty((L, base.references.shape[0], Y.shape[0]))
-    for l in range(L):
-        Dy_l = np.abs(Y[:, l][:, None] - Y[:, l][None, :])
+    del Dx, gram, _  # free the fit's matrices before the L x K x U stack
+    Y = np.asarray(Y, dtype=np.float64)  # fit checked it
+    T = base.train_labels
+    stacks = np.empty((T.shape[1], base.references.shape[0], T.shape[0]))
+    for l in range(T.shape[1]):
+        Dy_l = np.abs(Y[:, l][:, None] - T[:, l][None, :])
         np.matmul(projector, Dy_l, out=stacks[l])
     return BrMlmModel(base=base, label_coefficients=stacks)
 
@@ -178,8 +207,8 @@ def _queries(x) -> tuple[np.ndarray, bool]:
 
 
 def predict_deltas(model: DistanceModel, x) -> np.ndarray:
-    """Raw (unclamped) predicted label-space distances: N for one query of
-    M values, Q x N for a Q x M matrix of queries."""
+    """Raw (unclamped) predicted distances to the U unique label vectors: U
+    for one query of M values, Q x U for a Q x M matrix of queries."""
     X, one_row = _queries(x)
     if X.shape[1] != model.n_features:
         raise ValueError(
@@ -210,27 +239,32 @@ def log_distances(deltas) -> np.ndarray:
     return np.log(np.where(D > 0.0, D, 1.0))
 
 
-def idw_scores_from_log(log_deltas, train_labels, P: float) -> np.ndarray:
+def idw_scores_from_log(log_deltas, train_labels, P: float, counts=None) -> np.ndarray:
     """IDW scores from log_distances(deltas), before idw_scores bounds them by 1."""
     if P <= 0:
         raise ValueError("power parameter P must be positive")
     logw = -P * np.asarray(log_deltas, dtype=np.float64)
     logw -= logw.max(axis=-1, keepdims=True)
     W = np.exp(logw, out=logw)
-    return (W @ np.asarray(train_labels, dtype=np.float64)) / W.sum(axis=-1, keepdims=True)
+    c = np.ones(W.shape[-1]) if counts is None else np.asarray(counts, dtype=np.float64)
+    # counts go into the labels, not into the larger W: for 0/1 labels each
+    # product c*w*y is rounded once either way
+    cY = c[:, None] * np.asarray(train_labels, dtype=np.float64)
+    return (W @ cY) / (W @ c)[..., None]
 
 
-def idw_scores(deltas, train_labels, P: float) -> np.ndarray:
+def idw_scores(deltas, train_labels, P: float, counts=None) -> np.ndarray:
     """Inverse-distance-weighted convex combination of the training labels.
 
-    deltas is one row of N predicted distances or a Q x N matrix, one row
-    per query. Weights are delta^-P for positive deltas and 1 for zero
-    deltas (negatives are clamped first). Computed in log space so that
-    large P does not overflow; only weight ratios matter for the
-    normalized score.
+    deltas is one row of U predicted distances to the U rows of
+    train_labels, or a Q x U matrix, one row per query. A label vector's
+    weight is its count (1 when counts is None) times delta^-P, with
+    delta^-P taken as 1 for a zero delta (negatives are clamped first).
+    Computed in log space so that large P does not overflow; only weight
+    ratios matter for the normalized score.
     """
-    scores = idw_scores_from_log(log_distances(deltas), train_labels, P)
-    # W @ Y and W.sum add in different orders, which can leave a score a
+    scores = idw_scores_from_log(log_distances(deltas), train_labels, P, counts)
+    # W @ cY and W @ c add in different orders, which can leave a score a
     # few ulps above 1
     return np.minimum(scores, 1.0, out=scores)
 
@@ -266,9 +300,9 @@ def _finish_rank_cut(scores, model: DistanceModel, deltas, one_row: bool) -> Pre
 
 
 def nn_mlm_predict(model: DistanceModel, x) -> Prediction:
-    """Label vector of the reference with the smallest predicted distance.
+    """The unique label vector with the smallest predicted distance.
 
-    Ties at the minimum go to the smallest index.
+    Ties at the minimum go to the first seen in training.
     """
     X, one_row = _queries(x)
     deltas = predict_deltas(model, X)
@@ -279,70 +313,45 @@ def nn_mlm_predict(model: DistanceModel, x) -> Prediction:
 def ml_mlm_predict(tuned, x) -> Prediction:
     """IDW-scored prediction with the tuned power and global threshold."""
     X, one_row = _queries(x)
-    deltas = predict_deltas(tuned.model, X)
-    scores = idw_scores(deltas, tuned.model.train_labels, tuned.power)
+    model = tuned.model
+    deltas = predict_deltas(model, X)
+    scores = idw_scores(deltas, model.train_labels, tuned.power, model.label_counts)
     return _finish(scores, scores > tuned.threshold, deltas, one_row)
 
 
 def ml_mlm_predict_rcut(tuned, x) -> Prediction:
     """IDW-scored prediction thresholded by the nearest-reference cardinality."""
     X, one_row = _queries(x)
-    deltas = predict_deltas(tuned.model, X)
-    scores = idw_scores(deltas, tuned.model.train_labels, tuned.power)
-    return _finish_rank_cut(scores, tuned.model, deltas, one_row)
-
-
-def multilateration_objective(y, targets, deltas) -> float:
-    """J(y) = sum_k (||y - t_k||^2 - delta_k^2)^2."""
-    y = np.asarray(y, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    deltas = np.asarray(deltas, dtype=np.float64)
-    sq = ((targets - y) ** 2).sum(axis=1)
-    return float(((sq - deltas**2) ** 2).sum())
-
-
-def brute_force_mlc(targets, deltas, L: int) -> np.ndarray:
-    """Exhaustive minimizer of the multilateration objective over {0,1}^L.
-
-    Ties go to the lexicographically smallest bit vector. Enumeration is
-    capped at L <= 20.
-    """
-    if L > 20:
-        raise ValueError("brute-force enumeration is limited to L <= 20")
-    targets = np.asarray(targets, dtype=np.float64)
-    deltas = np.asarray(deltas, dtype=np.float64)
-    best = None
-    best_val = np.inf
-    for bits in itertools.product((0.0, 1.0), repeat=L):
-        y = np.array(bits)
-        val = multilateration_objective(y, targets, deltas)
-        if val < best_val:
-            best_val = val
-            best = y
-    return best.astype(np.int64)
+    model = tuned.model
+    deltas = predict_deltas(model, X)
+    scores = idw_scores(deltas, model.train_labels, tuned.power, model.label_counts)
+    return _finish_rank_cut(scores, model, deltas, one_row)
 
 
 def lls_scores(model: DistanceModel, deltas) -> np.ndarray:
     """Real-valued label scores from the anchor-linearized multilateration system.
 
-    deltas is one row of N predicted distances or a Q x N matrix. The
-    anchor is the reference with the smallest (clamped) predicted
-    distance; each remaining reference contributes one linear equation in
-    y, solved in least squares (minimum-norm for rank-deficient systems),
-    for all rows with that anchor at once.
+    deltas is one row of U predicted distances or a Q x U matrix. The
+    anchor is the unique label vector with the smallest (clamped)
+    predicted distance; each other one contributes one linear equation in
+    y, weighted by the square root of its count, solved in least squares
+    (minimum-norm for rank-deficient systems) for all rows with that
+    anchor at once. This is the least-squares problem of one equation per
+    training row: the anchor's own copies give all-zero equations.
     """
     D = clamp_deltas(deltas)
     rows = np.atleast_2d(D)
     T = model.train_labels
+    root_c = np.sqrt(model.label_counts)
     tnorm = (T**2).sum(axis=1)
     anchors = np.argmin(rows, axis=1)
     out = np.empty((rows.shape[0], T.shape[1]))
     for b in np.unique(anchors):
         these = anchors == b
         mask = np.arange(T.shape[0]) != b
-        A = 2.0 * (T[b][None, :] - T[mask])
+        A = 2.0 * (T[b][None, :] - T[mask]) * root_c[mask, None]
         dk = rows[these][:, mask]
-        rhs = (dk**2 - rows[these, b][:, None] ** 2) - (tnorm[mask] - tnorm[b])
+        rhs = ((dk**2 - rows[these, b][:, None] ** 2) - (tnorm[mask] - tnorm[b])) * root_c[mask]
         out[these] = np.linalg.lstsq(A, rhs.T, rcond=None)[0].T
     return out if D.ndim == 2 else out[0]
 
@@ -358,29 +367,32 @@ def lls_mlm_predict(model: DistanceModel, x) -> Prediction:
     return _finish_rank_cut(lls_scores(model, deltas), model, deltas, one_row)
 
 
-def scalar_multilateration_scores(target_cols: np.ndarray, delta_cols: np.ndarray) -> np.ndarray:
-    """Closed-form per-label minimizers of J_l(y) = sum_k ((y - t_kl)^2 - d_kl^2)^2.
+def scalar_multilateration_scores(target_cols: np.ndarray, delta_cols: np.ndarray,
+                                  counts=None) -> np.ndarray:
+    """Closed-form per-label minimizers of J_l(y) = sum_k c_k ((y - t_kl)^2 - d_kl^2)^2.
 
     Stationarity gives a cubic in y; the real root with the least
     objective value wins (smallest root on ties). target_cols is K x L;
     delta_cols is K x L for one query (giving L scores) or Q x K x L for
-    Q queries (giving Q x L).
+    Q queries (giving Q x L). counts holds the K weights c_k (all 1 when
+    None): a target row counted c_k times.
     """
     T = np.asarray(target_cols, dtype=np.float64)
     d2 = clamp_deltas(delta_cols) ** 2
-    K = T.shape[0]
-    # dJ/dy = 4 * sum_k (y - t_k) * ((y - t_k)^2 - d_k^2)
-    #       = 4 * (K y^3 + c2 y^2 + c1 y + c0)
-    c2 = -3.0 * T.sum(axis=0)
-    c1 = 3.0 * (T**2).sum(axis=0) - d2.sum(axis=-2)
-    c0 = -((T**3).sum(axis=0)) + (d2 * T).sum(axis=-2)
+    c = np.ones(T.shape[0]) if counts is None else np.asarray(counts, dtype=np.float64)
+    cT = c[:, None] * T
+    # dJ/dy = 4 * sum_k c_k (y - t_k) * ((y - t_k)^2 - d_k^2)
+    #       = 4 * (sum(c) y^3 + c2 y^2 + c1 y + c0)
+    c2 = -3.0 * cT.sum(axis=0)
+    c1 = 3.0 * (cT * T).sum(axis=0) - (c[:, None] * d2).sum(axis=-2)
+    c0 = -((cT * T**2).sum(axis=0)) + (d2 * cT).sum(axis=-2)
     # roots are the eigenvalues of the companion matrices, as in np.roots
     companion = np.zeros(c1.shape + (3, 3))
-    companion[..., 0, :] = np.stack(np.broadcast_arrays(c2, c1, c0), axis=-1) / -K
+    companion[..., 0, :] = np.stack(np.broadcast_arrays(c2, c1, c0), axis=-1) / -c.sum()
     companion[..., 1, 0] = companion[..., 2, 1] = 1.0
     roots = np.linalg.eigvals(companion)
     y = roots.real
-    vals = np.stack([(((y[..., None, :, j] - T) ** 2 - d2) ** 2).sum(axis=-2)
+    vals = np.stack([(c[:, None] * ((y[..., None, :, j] - T) ** 2 - d2) ** 2).sum(axis=-2)
                      for j in range(3)], axis=-1)
     vals[np.abs(roots.imag) >= 1e-8] = np.inf
     # symmetric instances give analytically equal minima that differ
@@ -394,7 +406,7 @@ def br_mlm_predict(model: BrMlmModel, x) -> Prediction:
     X, one_row = _queries(x)
     base = model.base
     d = pairwise_distances(X, base.references)
-    # per-label predicted output distances, L x Q x N, viewed as Q x N x L
+    # per-label predicted output distances, L x Q x U, viewed as Q x U x L
     delta_cols = np.matmul(d, model.label_coefficients).transpose(1, 2, 0)
-    scores = scalar_multilateration_scores(base.train_labels, delta_cols)
+    scores = scalar_multilateration_scores(base.train_labels, delta_cols, base.label_counts)
     return _finish_rank_cut(scores, base, _rowwise_product(d, base.coefficients), one_row)

@@ -144,10 +144,3 @@ def write_diagram_json(diagram: dict, path) -> None:
         json.dump(diagram, fh, indent=2)
         fh.write("\n")
 
-
-def significantly_different(diagram: dict, a: str, b: str) -> bool:
-    """True when methods a and b share no group in the diagram data."""
-    ia = diagram["methods"].index(a)
-    ib = diagram["methods"].index(b)
-    gap = abs(diagram["average_ranks"][ia] - diagram["average_ranks"][ib])
-    return gap > diagram["critical_difference"]

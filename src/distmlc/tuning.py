@@ -35,9 +35,10 @@ class TunedMlMlm:
 def loo_deltas(gram: RegularizedGram, Dx, Dy, B) -> np.ndarray:
     """Out-of-sample distance predictions for every training instance.
 
-    Row i is the distance profile that instance i would receive from a
-    model trained without it, obtained from the leverage values of the
-    ridge fit B (gram factors its Gram matrix) instead of retraining N times.
+    Row i is the distance profile (one entry per column of Dy) that
+    instance i would receive from a model trained without it, obtained
+    from the leverage values of the ridge fit B (gram factors its Gram
+    matrix) instead of retraining N times.
     """
     h = leverages(gram, Dx)
     bad = np.nonzero(h >= 1.0 - 1e-12)[0]
@@ -52,32 +53,39 @@ def loo_deltas(gram: RegularizedGram, Dx, Dy, B) -> np.ndarray:
     return loo
 
 
-def lrl(loo, Y, P: float) -> float:
+def lrl(loo, Y, P: float, labels=None, counts=None) -> float:
     """Leave-one-out ranking loss at power P.
 
-    For each instance the IDW scores built from its out-of-sample distance
-    profile are checked against its ground-truth bipartition; the value is
-    the mean fraction of (relevant, irrelevant) pairs ranked strictly
-    wrongly. Instances with all-relevant or all-irrelevant rows are
-    skipped (the pair count is zero there). Scores are unbounded, as in search_power.
+    For each instance (row of Y) the IDW scores built from its
+    out-of-sample distance profile are checked against its ground-truth
+    bipartition; the value is the mean fraction of (relevant, irrelevant)
+    pairs ranked strictly wrongly. Instances with all-relevant or
+    all-irrelevant rows are skipped (the pair count is zero there).
+    labels and counts are the label vectors that index loo's columns and
+    their multiplicities, as in a DistanceModel; by default the columns
+    are the rows of Y. Scores are unbounded, as in search_power.
     """
-    return ranking_loss(_models.idw_scores_from_log(_models.log_distances(loo), Y, P), Y)
+    labels = Y if labels is None else labels
+    scores = _models.idw_scores_from_log(_models.log_distances(loo), labels, P, counts)
+    return ranking_loss(scores, Y)
 
 
-def search_power(loo, Y) -> tuple[float, tuple[tuple[float, float], ...]]:
+def search_power(loo, Y, labels=None, counts=None) -> tuple[float, tuple[tuple[float, float], ...]]:
     """Grid search P in {2^s : s = 0.0, 0.1, ..., 8.0} minimizing the LOO ranking loss.
 
-    Returns the winning P (ties go to the smallest grid point) and the
-    full (P, LRL) curve.
+    loo, Y, labels and counts are as in lrl. Returns the winning P (ties
+    go to the smallest grid point) and the full (P, LRL) curve.
     """
     # Scores are not bounded by 1 here: that would turn round-off pairs (relevant
     # at 1.0, irrelevant at 1 + 2e-16) from violations into ties and move the curve.
     Y = np.asarray(Y, dtype=np.float64)
+    labels = Y if labels is None else labels
     log_d = _models.log_distances(loo)  # shared by all 81 grid points
     curve = []
     for s in POWER_GRID_EXPONENTS:
         P = float(2.0**s)
-        curve.append((P, ranking_loss(_models.idw_scores_from_log(log_d, Y, P), Y)))
+        scores = _models.idw_scores_from_log(log_d, labels, P, counts)
+        curve.append((P, ranking_loss(scores, Y)))
     best_p = min(curve, key=lambda point: point[1])[0]  # first of equal minima
     return best_p, tuple(curve)
 
@@ -128,8 +136,16 @@ def tune_ml_mlm(
     power_mode is "tuned" or a fixed positive float; threshold_mode is
     "cardinality" or a fixed float. The leave-one-out distances are
     computed only when some hyper-parameter actually needs them, from
-    the factorization the fit already made.
+    the factorization the fit already made. Tuning the power needs some
+    row of Y with both a relevant and an irrelevant label.
     """
+    Y = np.asarray(Y, dtype=np.float64)
+    card = Y.sum(axis=-1)
+    if power_mode == "tuned" and not ((card > 0) & (card < Y.shape[-1])).any():
+        raise ValueError(
+            "cannot tune the power: no training row has both a relevant and an "
+            f"irrelevant label (L = {Y.shape[-1]}), so the leave-one-out ranking "
+            "loss has nothing to rank; give a fixed power (--power) instead")
     model, Dx, Dy, gram, B = _models.fit(
         X, Y, alpha_mode=alpha_mode, label_names=label_names)
     loo = None
@@ -138,16 +154,17 @@ def tune_ml_mlm(
             raise SingularSystemError("U = Dx^T Dx + alpha*I is not positive definite")
         loo = loo_deltas(gram, Dx, Dy, B)
     del Dx, Dy, gram, B  # the rest needs only the LOO matrix
+    labels, counts = model.train_labels, model.label_counts
     if power_mode == "tuned":
-        power, curve = search_power(loo, model.train_labels)
+        power, curve = search_power(loo, Y, labels, counts)
     else:
         power = float(power_mode)
         if power <= 0:
             raise ValueError("fixed power must be positive")
         curve = ()
     if threshold_mode == "cardinality":
-        loo_scores = _models.idw_scores(loo, model.train_labels, power)
-        threshold = cardinality_threshold(loo_scores, model.train_labels)
+        loo_scores = _models.idw_scores(loo, labels, power, counts)
+        threshold = cardinality_threshold(loo_scores, Y)
     else:
         threshold = float(threshold_mode)
     return TunedMlMlm(model=model, power=power, threshold=threshold, lrl_curve=curve)

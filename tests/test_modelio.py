@@ -1,3 +1,4 @@
+import json
 import zipfile
 
 import numpy as np
@@ -82,8 +83,6 @@ class TestErrors:
         p = tmp_path / "m.dmlm"
         modelio.save_model(p, model, "nn-mlm")
         # rewrite the manifest with a bumped version
-        import json
-
         with zipfile.ZipFile(p) as zf:
             manifest = json.loads(zf.read("manifest.json"))
             blobs = {n: zf.read(n) for n in zf.namelist() if n != "manifest.json"}
@@ -100,8 +99,6 @@ class TestErrors:
         model = models.train(X, Y, alpha_mode=0.1)
         p = tmp_path / "m.dmlm"
         modelio.save_model(p, model, "nn-mlm")
-        import json
-
         with zipfile.ZipFile(p) as zf:
             manifest_raw = zf.read("manifest.json")
             blobs = {n: zf.read(n) for n in zf.namelist() if n != "manifest.json"}
@@ -123,3 +120,88 @@ class TestFingerprint:
         assert modelio.dataset_fingerprint(X, Y) == base
         assert modelio.dataset_fingerprint(X + 1e-12, Y) != base
         assert modelio.dataset_fingerprint(X.reshape(2, 3), Y) != base
+
+
+def rewrite(path, edit) -> None:
+    """Rewrite a saved model file after edit(manifest, arrays) changed them in place."""
+    with zipfile.ZipFile(path) as zf:
+        manifest = json.loads(zf.read("manifest.json"))
+        arrays = {name: np.frombuffer(zf.read(name + ".f64"), dtype="<f8").reshape(shape).copy()
+                  for name, shape in manifest["dimensions"].items()}
+    edit(manifest, arrays)
+    manifest["dimensions"] = {name: list(a.shape) for name, a in arrays.items()}
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr("manifest.json", json.dumps(manifest))
+        for name, a in arrays.items():
+            zf.writestr(name + ".f64", a.astype("<f8").tobytes())
+
+
+class TestValidation:
+    """load_model refuses a file whose arrays do not make a consistent model."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        rng = np.random.default_rng(102)
+        X, Y = random_problem(rng, n=16, m=3, l=3)
+        Y[1] = Y[0]  # fewer unique label vectors (U) than rows
+        X[1] = X[0]  # and fewer references (K)
+        model = models.train_br(X, Y, alpha_mode=0.1)
+        assert model.label_coefficients.shape[1] != model.label_coefficients.shape[2]
+        p = tmp_path / "m.dmlm"
+        modelio.save_model(p, model, "br-mlm")
+        return p
+
+    def assert_refused(self, path, edit, match):
+        modelio.load_model(path)  # the unedited file loads
+        rewrite(path, edit)
+        with pytest.raises(modelio.ModelFileError, match=match):
+            modelio.load_model(path)
+
+    def test_coefficients_not_k_by_u(self, saved):
+        def edit(manifest, arrays):
+            arrays["coefficients"] = arrays["coefficients"][:, :-1]
+        self.assert_refused(saved, edit, "coefficients")
+
+    def test_train_labels_not_binary(self, saved):
+        def edit(manifest, arrays):
+            arrays["train_labels"][0, 0] = 0.5
+        self.assert_refused(saved, edit, "train_labels")
+
+    def test_train_labels_wrong_width(self, saved):
+        def edit(manifest, arrays):
+            arrays["train_labels"] = arrays["train_labels"][:, :-1]
+        self.assert_refused(saved, edit, "label_coefficients")
+
+    @pytest.mark.parametrize("bad", [0.0, 1.5, -2.0])
+    def test_label_counts_not_positive_whole(self, saved, bad):
+        def edit(manifest, arrays):
+            arrays["label_counts"][0] = bad
+        self.assert_refused(saved, edit, "label_counts")
+
+    def test_label_counts_wrong_length(self, saved):
+        def edit(manifest, arrays):
+            arrays["label_counts"] = arrays["label_counts"][:-1]
+        self.assert_refused(saved, edit, "label_counts")
+
+    def test_label_coefficients_not_l_by_k_by_u(self, saved):
+        def edit(manifest, arrays):
+            arrays["label_coefficients"] = arrays["label_coefficients"].transpose(0, 2, 1)
+        self.assert_refused(saved, edit, "label_coefficients")
+
+    def test_label_coefficients_missing(self, saved):
+        def edit(manifest, arrays):
+            del arrays["label_coefficients"]
+        self.assert_refused(saved, edit, "label_coefficients")
+
+    @pytest.mark.parametrize("blob", ["references", "coefficients", "label_coefficients"])
+    def test_non_finite_blob(self, saved, blob):
+        def edit(manifest, arrays):
+            arrays[blob].flat[3] = np.nan
+        self.assert_refused(saved, edit, "non-finite")
+
+    def test_format_1_asks_to_retrain(self, saved):
+        # a format 1 file: all N label vectors, no label_counts
+        def edit(manifest, arrays):
+            manifest["format_version"] = 1
+            del arrays["label_counts"]
+        self.assert_refused(saved, edit, "retrain")

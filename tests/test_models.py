@@ -3,11 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distmlc import models
-from distmlc.linalg import pairwise_distances
-from distmlc.tuning import local_rcut, tune_ml_mlm
+from distmlc import models, tuning
+from distmlc.linalg import fit_ridge, pairwise_distances
+from distmlc.tuning import (
+    TunedMlMlm,
+    cardinality_threshold,
+    local_rcut,
+    search_power,
+    tune_ml_mlm,
+)
 
-from conftest import random_problem
+from conftest import brute_force_mlc, loo_from_fit, multilateration_objective, random_problem
 
 # Counterexample instance showing the nearest-reference choice is not
 # always the multilateration optimum: all corners of {0,1}^2 as targets.
@@ -39,7 +45,7 @@ class TestTrain:
         alpha = 0.05
         model = models.train(X, Y, alpha_mode=alpha)
         Dx = pairwise_distances(X, model.references)
-        Dy = pairwise_distances(Y, Y)
+        Dy = pairwise_distances(Y, model.train_labels)
         U = Dx.T @ Dx + alpha * np.eye(Dx.shape[1])
         B_oracle = np.linalg.pinv(U) @ Dx.T @ Dy
         assert np.linalg.norm(Dx @ model.coefficients - Dy) == pytest.approx(
@@ -51,7 +57,8 @@ class TestTrain:
         Y = np.array([[1.0], [1.0], [0.0]])
         model = models.train(X, Y, alpha_mode=0.1)
         assert model.references.shape == (2, 1)
-        assert model.coefficients.shape == (2, 3)
+        assert model.coefficients.shape == (2, 2)
+        np.testing.assert_array_equal(model.label_counts, [2, 1])
 
     def test_rejects_non_binary_labels(self):
         with pytest.raises(ValueError):
@@ -176,8 +183,10 @@ class TestNnMlm:
         rng = np.random.default_rng(24)
         X, Y = random_problem(rng, n=15, m=4, l=3)
         model = models.train(X, Y, alpha_mode=0.1)
+        # scan the predicted distances to all N training rows
+        B = fit_ridge(pairwise_distances(X, model.references), pairwise_distances(Y, Y), 0.1)[1]
         for x in rng.normal(size=(5, 4)):
-            deltas = models.clamp_deltas(models.predict_deltas(model, x))
+            deltas = np.maximum(np.linalg.norm(x - model.references, axis=1) @ B, 0.0)
             best = min(range(len(deltas)), key=lambda k: (deltas[k], k))
             pred = models.nn_mlm_predict(model, x)
             np.testing.assert_array_equal(pred.labels, Y[best].astype(int))
@@ -196,24 +205,24 @@ class TestNnMlm:
 
 class TestMultilaterationObjective:
     def test_counterexample_values(self):
-        assert models.multilateration_objective([0, 0], CORNERS2, DELTAS_CE) == 9815.0
-        assert models.multilateration_objective([1, 0], CORNERS2, DELTAS_CE) == 9629.0
+        assert multilateration_objective([0, 0], CORNERS2, DELTAS_CE) == 9815.0
+        assert multilateration_objective([1, 0], CORNERS2, DELTAS_CE) == 9629.0
 
     def test_exact_fit_is_zero(self):
         deltas = np.linalg.norm(CORNERS2 - CORNERS2[2], axis=1)
-        assert models.multilateration_objective(CORNERS2[2], CORNERS2, deltas) < 1e-24
+        assert multilateration_objective(CORNERS2[2], CORNERS2, deltas) < 1e-24
 
 
 class TestBruteForce:
     def test_counterexample_beats_nearest_choice(self):
         np.testing.assert_array_equal(
-            models.brute_force_mlc(CORNERS2, DELTAS_CE, 2), [1, 0]
+            brute_force_mlc(CORNERS2, DELTAS_CE, 2), [1, 0]
         )
 
     def test_exact_deltas_recover_target(self):
         deltas = np.linalg.norm(CORNERS2 - CORNERS2[3], axis=1)
         np.testing.assert_array_equal(
-            models.brute_force_mlc(CORNERS2, deltas, 2), [1, 1]
+            brute_force_mlc(CORNERS2, deltas, 2), [1, 1]
         )
 
     def test_agrees_with_objective_scan(self):
@@ -221,18 +230,18 @@ class TestBruteForce:
         L = 4
         targets = (rng.random((6, L)) < 0.5).astype(float)
         deltas = rng.random(6) * 2.0
-        best = models.brute_force_mlc(targets, deltas, L)
+        best = brute_force_mlc(targets, deltas, L)
         import itertools
 
         vals = {
-            bits: models.multilateration_objective(np.array(bits), targets, deltas)
+            bits: multilateration_objective(np.array(bits), targets, deltas)
             for bits in itertools.product((0.0, 1.0), repeat=L)
         }
         assert vals[tuple(best.astype(float))] == min(vals.values())
 
     def test_enumeration_bound(self):
         with pytest.raises(ValueError):
-            models.brute_force_mlc(np.zeros((1, 21)), np.zeros(1), 21)
+            brute_force_mlc(np.zeros((1, 21)), np.zeros(1), 21)
 
 
 class TestLlsMlm:
@@ -276,7 +285,7 @@ class TestBrMlm:
         d = np.abs(1.0 - t)
         scores = models.scalar_multilateration_scores(t, d)
         np.testing.assert_allclose(scores, [1.0], atol=1e-9)
-        val = models.multilateration_objective(scores, t, d[:, 0])
+        val = multilateration_objective(scores, t, d[:, 0])
         assert val < 1e-12
 
     def test_cubic_matches_grid_oracle(self):
@@ -350,7 +359,7 @@ def test_exact_distances_all_predictors_agree():
         nn_row = corners[int(np.argmin(models.clamp_deltas(deltas)))]
         np.testing.assert_array_equal(nn_row, target)
         np.testing.assert_array_equal(
-            models.brute_force_mlc(corners, deltas, L), target.astype(int)
+            brute_force_mlc(corners, deltas, L), target.astype(int)
         )
         lls = np.round(models.lls_scores(model, deltas))
         np.testing.assert_array_equal(lls, target)
@@ -397,3 +406,118 @@ def test_matrix_query_matches_one_row_queries(decoder):
     assert list(batch.uncertainty) == [r.uncertainty for r in rows]
     assert all(isinstance(r.min_distance, float) and isinstance(r.uncertainty, str)
                for r in rows)
+
+
+class TestUniqueLabelVectors:
+    """The fit keeps each distinct label vector once, with its count. Every
+    decoder and the tuning must give what a fit against all N training rows
+    gives: the reference below solves for the full N x N Dy and decodes with
+    unweighted formulas over the N rows."""
+
+    ALPHA = 0.3
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        rng = np.random.default_rng(31)
+        n, m, l = 90, 4, 5
+        # more label vectors than labels, so that lls-mlm's system is overdetermined
+        pool = np.array([[1, 0, 0, 0, 0], [0, 1, 1, 0, 0], [1, 1, 0, 0, 1],
+                         [0, 0, 0, 1, 0], [1, 0, 1, 1, 0], [0, 1, 0, 0, 1],
+                         [0, 0, 1, 0, 1], [1, 1, 1, 0, 0], [0, 0, 0, 1, 1]], dtype=float)
+        Y = pool[rng.integers(len(pool), size=n)]
+        X = Y @ rng.normal(size=(l, m)) + 0.7 * rng.normal(size=(n, m))
+        X[7] = X[2]  # a repeated input too
+        Q = Y[:12] @ rng.normal(size=(l, m)) + rng.normal(size=(12, m))
+        return X, Y, Q
+
+    @pytest.fixture(scope="class")
+    def reference(self, problem):
+        X, Y, Q = problem
+        refs = models.unique_rows(X)
+        Dx = pairwise_distances(X, refs)
+        gram, B = fit_ridge(Dx, pairwise_distances(Y, Y), self.ALPHA)
+        d = pairwise_distances(Q, refs)
+        D = np.maximum(d @ B, 0.0)
+        projector = gram.solve(Dx.T)
+        br_cols = np.stack([d @ projector @ np.abs(Y[:, [l]] - Y[:, l])
+                            for l in range(Y.shape[1])], axis=-1)
+        first = [i for i in range(len(Y)) if not (Y[:i] == Y[i]).all(axis=1).any()]
+        return {"refs": refs, "Dx": Dx, "B": B, "deltas": D, "br_cols": br_cols,
+                "nearest": np.argmin(D, axis=1), "first": first}
+
+    def test_first_seen_labels_and_counts(self, problem, reference):
+        X, Y, _ = problem
+        model = models.train(X, Y, alpha_mode=self.ALPHA)
+        first = reference["first"]
+        np.testing.assert_array_equal(model.train_labels, Y[first])
+        np.testing.assert_array_equal(
+            model.label_counts, [(Y == Y[i]).all(axis=1).sum() for i in first])
+        assert model.coefficients.shape == (len(reference["refs"]), len(first))
+        np.testing.assert_allclose(model.coefficients, reference["B"][:, first],
+                                   rtol=1e-9, atol=1e-9)
+
+    def test_tuning_matches_n_columns(self, problem, reference):
+        X, Y, _ = problem
+        model, Dx, Dy, gram, B = models.fit(X, Y, alpha_mode=self.ALPHA)
+        loo = tuning.loo_deltas(gram, Dx, Dy, B)
+        loo_n = loo_from_fit(reference["Dx"], pairwise_distances(Y, Y), self.ALPHA)
+        np.testing.assert_allclose(loo, loo_n[:, reference["first"]], rtol=1e-9, atol=1e-9)
+
+        tuned = tune_ml_mlm(X, Y, alpha_mode=self.ALPHA)
+        power, curve = search_power(loo_n, Y)
+        assert tuned.power == power
+        for (P, value), (P_n, _) in zip(tuned.lrl_curve, curve):
+            assert P == P_n
+            scores = models.idw_scores(loo, model.train_labels, P, model.label_counts)
+            scores_n = models.idw_scores(loo_n, Y, P)
+            np.testing.assert_allclose(scores, scores_n, rtol=1e-9, atol=1e-9)
+            # scores that tie analytically are ordered by round-off, which the
+            # two summation orders may break either way
+            low, high = self.ranking_loss_bracket(scores_n, Y, 1e-9)
+            assert low - 1e-12 <= value <= high + 1e-12, P
+        threshold = cardinality_threshold(models.idw_scores(loo_n, Y, power), Y)
+        assert tuned.threshold == pytest.approx(threshold, rel=1e-9, abs=1e-9)
+
+    @staticmethod
+    def ranking_loss_bracket(S, Y, eps):
+        """Ranking loss with the pairs closer than eps all kept, then all violated."""
+        rel = Y == 1.0
+        keep = rel.any(axis=1) & ~rel.all(axis=1)
+        S, rel = S[keep], rel[keep]
+        pair = rel[:, :, None] & ~rel[:, None, :]
+        gap = S[:, None, :] - S[:, :, None]  # irrelevant minus relevant score
+        n_pairs = pair.sum(axis=(1, 2))
+        return tuple(float((((gap > bound) & pair).sum(axis=(1, 2)) / n_pairs).mean())
+                     for bound in (eps, -eps))
+
+    @pytest.mark.parametrize("decoder", ["ml", "ml-rcut", "nn", "lls", "br"])
+    def test_decoder_matches_n_columns(self, problem, reference, decoder):
+        X, Y, Q = problem
+        tuned = TunedMlMlm(model=models.train(X, Y, alpha_mode=self.ALPHA),
+                           power=6.0, threshold=0.4, lrl_curve=())
+        D, nearest = reference["deltas"], reference["nearest"]
+        k_cut = Y[nearest].sum(axis=1).astype(int)
+        if decoder in ("ml", "ml-rcut"):
+            logw = -tuned.power * np.log(np.where(D > 0, D, 1.0))
+            W = np.exp(logw - logw.max(axis=1, keepdims=True))
+            scores = (W @ Y) / W.sum(axis=1, keepdims=True)
+            labels = scores > tuned.threshold if decoder == "ml" else local_rcut(scores, k_cut)
+            call = models.ml_mlm_predict if decoder == "ml" else models.ml_mlm_predict_rcut
+            pred = call(tuned, Q)
+        elif decoder == "nn":
+            scores = labels = Y[nearest]
+            pred = models.nn_mlm_predict(tuned.model, Q)
+        elif decoder == "lls":
+            # unit counts: the anchor-linearized system of one equation per row
+            full = models.DistanceModel(references=reference["refs"], coefficients=reference["B"],
+                                        alpha=self.ALPHA, train_labels=Y)
+            scores = models.lls_scores(full, D)
+            labels = local_rcut(scores, k_cut)
+            pred = models.lls_mlm_predict(tuned.model, Q)
+        else:
+            scores = models.scalar_multilateration_scores(Y, reference["br_cols"])
+            labels = local_rcut(scores, k_cut)
+            pred = models.br_mlm_predict(models.train_br(X, Y, alpha_mode=self.ALPHA), Q)
+        np.testing.assert_allclose(pred.scores, scores, rtol=1e-9, atol=1e-9)
+        np.testing.assert_array_equal(pred.labels, labels.astype(int))
+        np.testing.assert_allclose(pred.min_distance, D.min(axis=1), rtol=1e-9, atol=1e-9)

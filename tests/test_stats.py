@@ -11,6 +11,8 @@ from scipy.stats import chi2, studentized_range
 import distmlc
 from distmlc import stats
 
+from conftest import significantly_different
+
 
 def make_table(values, direction=stats.LOWER_BETTER):
     values = np.asarray(values, dtype=float)
@@ -128,8 +130,8 @@ class TestCdDiagram:
         assert d["friedman_reject"]
         assert ["m0", "m1"] in d["groups"]
         assert ["m2", "m3"] in d["groups"]
-        assert stats.significantly_different(d, "m0", "m2")
-        assert not stats.significantly_different(d, "m0", "m1")
+        assert significantly_different(d, "m0", "m2")
+        assert not significantly_different(d, "m0", "m1")
 
     def test_all_tied_single_group(self):
         vals = np.tile([0.2, 0.2, 0.2], (6, 1))

@@ -222,3 +222,35 @@ class TestTuneMlMlm:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "s,P,LRL"
         assert len(lines) == 82
+
+
+class TestNothingToRank:
+    """Tuning the power needs a row with a relevant and an irrelevant label."""
+
+    @pytest.fixture
+    def X(self):
+        return np.random.default_rng(51).normal(size=(12, 3))
+
+    @pytest.mark.parametrize("labels", ["one-label", "all-zero", "all-one"])
+    def test_tuned_power_rejected_before_fitting(self, X, labels, monkeypatch):
+        Y = {"one-label": (np.arange(12) % 2 == 0).astype(float)[:, None],
+             "all-zero": np.zeros((12, 4)),
+             "all-one": np.ones((12, 4))}[labels]
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before checking the labels")
+
+        monkeypatch.setattr(models, "fit", no_fit)
+        with pytest.raises(ValueError, match="fixed power") as err:
+            tuning.tune_ml_mlm(X, Y, alpha_mode=0.1)
+        assert "no training row has both a relevant and an irrelevant label" in str(err.value)
+
+    @pytest.mark.parametrize("labels", ["one-label", "all-zero"])
+    def test_fixed_power_still_trains(self, X, labels):
+        Y = (np.arange(12) % 2 == 0).astype(float)[:, None] if labels == "one-label" \
+            else np.zeros((12, 4))
+        tuned = tuning.tune_ml_mlm(X, Y, alpha_mode=0.1, power_mode=2.0)
+        assert tuned.power == 2.0 and tuned.lrl_curve == ()
+        pred = models.ml_mlm_predict(tuned, X[:3])
+        assert pred.scores.shape == (3, Y.shape[1])
+        assert np.isfinite(tuned.threshold)
