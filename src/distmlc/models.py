@@ -37,19 +37,17 @@ class DistanceModel:
     train_labels: U x L binary matrix of the unique training label
         vectors, in first-seen order.
     label_counts: length-U float array, how many training rows carry each
-        of them (they sum to N). Defaults to all ones.
+        of them (they sum to N).
     """
 
     references: np.ndarray
     coefficients: np.ndarray
     alpha: float
     train_labels: np.ndarray
+    label_counts: np.ndarray
     label_names: tuple[str, ...] = ()
-    label_counts: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.label_counts is None:
-            object.__setattr__(self, "label_counts", np.ones(self.train_labels.shape[0]))
         if self.coefficients.shape[0] != self.references.shape[0]:
             raise ValueError("coefficient rows must equal reference count")
         if self.coefficients.shape[1] != self.train_labels.shape[0]:
@@ -99,17 +97,16 @@ def _check_binary(Y: np.ndarray, name: str = "Y") -> np.ndarray:
     return Y
 
 
-def auto_alpha(references, distances=None) -> float:
+def auto_alpha(distances) -> float:
     """Lower 1/1000-quantile of the positive pairwise reference distances.
 
+    distances is the K x K matrix of distances between the references.
     Self-distances are excluded; the quantile is taken over the unordered
-    distinct pairs by sorting and indexing at floor(count/1000). distances
-    is the K x K reference distance matrix when the caller has it already.
+    distinct pairs by sorting and indexing at floor(count/1000).
     """
-    references = np.asarray(references, dtype=np.float64)
-    if references.shape[0] < 2:
+    d = np.asarray(distances, dtype=np.float64)
+    if d.shape[0] < 2:
         raise ValueError("need at least 2 reference points")
-    d = pairwise_distances(references, references) if distances is None else distances
     iu = np.triu_indices(d.shape[0], k=1)
     pair_dists = d[iu]
     pair_dists = pair_dists[pair_dists > 0.0]
@@ -125,11 +122,6 @@ def first_seen(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     _, idx, counts = np.unique(A, axis=0, return_index=True, return_counts=True)
     order = np.argsort(idx)
     return idx[order], counts[order]
-
-
-def unique_rows(X: np.ndarray) -> np.ndarray:
-    """Unique rows of X (exact float equality), keeping first-seen order."""
-    return X[first_seen(X)[0]]
 
 
 def fit(X, Y, alpha_mode="auto", label_names=()):
@@ -153,7 +145,7 @@ def fit(X, Y, alpha_mode="auto", label_names=()):
     Dx = pairwise_distances(X, references)
     if alpha_mode == "auto":
         # the references are rows of X, so Dx already holds their distances
-        alpha = auto_alpha(references, Dx[ref_idx])
+        alpha = auto_alpha(Dx[ref_idx])
     else:
         alpha = float(alpha_mode)
         if alpha < 0:
@@ -239,26 +231,28 @@ def log_distances(deltas) -> np.ndarray:
     return np.log(np.where(D > 0.0, D, 1.0))
 
 
-def idw_scores_from_log(log_deltas, train_labels, P: float, counts=None) -> np.ndarray:
+def idw_scores_from_log(log_deltas, train_labels, P: float, counts) -> np.ndarray:
     """IDW scores from log_distances(deltas), before idw_scores bounds them by 1."""
     if P <= 0:
         raise ValueError("power parameter P must be positive")
     logw = -P * np.asarray(log_deltas, dtype=np.float64)
     logw -= logw.max(axis=-1, keepdims=True)
     W = np.exp(logw, out=logw)
-    c = np.ones(W.shape[-1]) if counts is None else np.asarray(counts, dtype=np.float64)
+    c = np.asarray(counts, dtype=np.float64)
     # counts go into the labels, not into the larger W: for 0/1 labels each
     # product c*w*y is rounded once either way
     cY = c[:, None] * np.asarray(train_labels, dtype=np.float64)
     return (W @ cY) / (W @ c)[..., None]
 
 
-def idw_scores(deltas, train_labels, P: float, counts=None) -> np.ndarray:
+def idw_scores(deltas, train_labels, P: float, counts) -> np.ndarray:
     """Inverse-distance-weighted convex combination of the training labels.
 
     deltas is one row of U predicted distances to the U rows of
-    train_labels, or a Q x U matrix, one row per query. A label vector's
-    weight is its count (1 when counts is None) times delta^-P, with
+    train_labels, or a Q x U matrix, one row per query; counts holds the
+    U multiplicities of those rows (a trained model's label_counts, which
+    go with its train_labels). A label vector's weight is its count times
+    delta^-P, with
     delta^-P taken as 1 for a zero delta (negatives are clamped first).
     Computed in log space so that large P does not overflow; only weight
     ratios matter for the normalized score.
@@ -368,18 +362,18 @@ def lls_mlm_predict(model: DistanceModel, x) -> Prediction:
 
 
 def scalar_multilateration_scores(target_cols: np.ndarray, delta_cols: np.ndarray,
-                                  counts=None) -> np.ndarray:
+                                  counts) -> np.ndarray:
     """Closed-form per-label minimizers of J_l(y) = sum_k c_k ((y - t_kl)^2 - d_kl^2)^2.
 
     Stationarity gives a cubic in y; the real root with the least
     objective value wins (smallest root on ties). target_cols is K x L;
     delta_cols is K x L for one query (giving L scores) or Q x K x L for
-    Q queries (giving Q x L). counts holds the K weights c_k (all 1 when
-    None): a target row counted c_k times.
+    Q queries (giving Q x L). counts holds the K weights c_k: a target row
+    counted c_k times.
     """
     T = np.asarray(target_cols, dtype=np.float64)
     d2 = clamp_deltas(delta_cols) ** 2
-    c = np.ones(T.shape[0]) if counts is None else np.asarray(counts, dtype=np.float64)
+    c = np.asarray(counts, dtype=np.float64)
     cT = c[:, None] * T
     # dJ/dy = 4 * sum_k c_k (y - t_k) * ((y - t_k)^2 - d_k^2)
     #       = 4 * (sum(c) y^3 + c2 y^2 + c1 y + c0)

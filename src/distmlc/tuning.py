@@ -53,33 +53,32 @@ def loo_deltas(gram: RegularizedGram, Dx, Dy, B) -> np.ndarray:
     return loo
 
 
-def lrl(loo, Y, P: float, labels=None, counts=None) -> float:
+def lrl(loo, Y, P: float) -> float:
     """Leave-one-out ranking loss at power P.
 
-    For each instance (row of Y) the IDW scores built from its
-    out-of-sample distance profile are checked against its ground-truth
-    bipartition; the value is the mean fraction of (relevant, irrelevant)
-    pairs ranked strictly wrongly. Instances with all-relevant or
-    all-irrelevant rows are skipped (the pair count is zero there).
-    labels and counts are the label vectors that index loo's columns and
-    their multiplicities, as in a DistanceModel; by default the columns
-    are the rows of Y. Scores are unbounded, as in search_power.
+    loo has one column per row of Y. For each instance the IDW scores
+    built from its out-of-sample distance profile are checked against its
+    ground-truth bipartition; the value is the mean fraction of
+    (relevant, irrelevant) pairs ranked strictly wrongly. Instances with
+    all-relevant or all-irrelevant rows are skipped (the pair count is
+    zero there). Scores are unbounded, as in search_power.
     """
-    labels = Y if labels is None else labels
-    scores = _models.idw_scores_from_log(_models.log_distances(loo), labels, P, counts)
-    return ranking_loss(scores, Y)
+    Y = np.asarray(Y, dtype=np.float64)
+    log_d = _models.log_distances(loo)
+    return ranking_loss(_models.idw_scores_from_log(log_d, Y, P, np.ones(Y.shape[0])), Y)
 
 
-def search_power(loo, Y, labels=None, counts=None) -> tuple[float, tuple[tuple[float, float], ...]]:
+def search_power(loo, Y, labels, counts) -> tuple[float, tuple[tuple[float, float], ...]]:
     """Grid search P in {2^s : s = 0.0, 0.1, ..., 8.0} minimizing the LOO ranking loss.
 
-    loo, Y, labels and counts are as in lrl. Returns the winning P (ties
-    go to the smallest grid point) and the full (P, LRL) curve.
+    loo's columns go with the label vectors labels, each counted as in
+    counts (a model's train_labels and label_counts); its rows, like Y's,
+    are the training instances. Returns the winning P (ties go to the
+    smallest grid point) and the full (P, LRL) curve.
     """
     # Scores are not bounded by 1 here: that would turn round-off pairs (relevant
     # at 1.0, irrelevant at 1 + 2e-16) from violations into ties and move the curve.
     Y = np.asarray(Y, dtype=np.float64)
-    labels = Y if labels is None else labels
     log_d = _models.log_distances(loo)  # shared by all 81 grid points
     curve = []
     for s in POWER_GRID_EXPONENTS:

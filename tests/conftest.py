@@ -101,6 +101,13 @@ def significantly_different(diagram: dict, a: str, b: str) -> bool:
     return gap > diagram["critical_difference"]
 
 
+def unique_rows(X):
+    """Unique rows of X (exact float equality), keeping first-seen order."""
+    from distmlc.models import first_seen
+
+    return X[first_seen(X)[0]]
+
+
 def loo_from_fit(Dx, Dy, alpha):
     """tuning.loo_deltas on the ridge fit of Dx, Dy at alpha."""
     from distmlc.linalg import fit_ridge

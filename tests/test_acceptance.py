@@ -21,6 +21,7 @@ from conftest import (
     mulan_paths,
     random_problem,
     significantly_different,
+    unique_rows,
 )
 from test_metrics import (
     oracle_accuracy,
@@ -119,7 +120,7 @@ class TestCriterion2:
             l = int(rng.integers(2, 6))
             X, Y = random_problem(rng, n=n, m=m, l=l)
             alpha = alphas[trial % 3]
-            refs = models.unique_rows(X)
+            refs = unique_rows(X)
             Dx = pairwise_distances(X, refs)
             Dy = pairwise_distances(Y, Y)
             loo = loo_from_fit(Dx, Dy, alpha)
@@ -287,6 +288,7 @@ class TestCriterion7:
             coefficients=np.zeros((corners.shape[0], corners.shape[0])),
             alpha=0.1,
             train_labels=corners,
+            label_counts=np.ones(corners.shape[0]),
         )
         y = models.lls_scores(model, deltas)
         assert float(np.abs(y - target).max()) < 1e-6
@@ -301,7 +303,7 @@ class TestCriterion7:
             deltas = np.abs(rng.normal(0.8, 0.5, size=k))
             # single-label instance: t is the column of training indicators
             score = models.scalar_multilateration_scores(
-                t[:, None], deltas[:, None]
+                t[:, None], deltas[:, None], np.ones(k)
             )[0]
             span = float(deltas.max()) + 1.0
             grid = np.arange(-span, 1.0 + span, 1e-5)

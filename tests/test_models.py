@@ -13,7 +13,13 @@ from distmlc.tuning import (
     tune_ml_mlm,
 )
 
-from conftest import brute_force_mlc, loo_from_fit, multilateration_objective, random_problem
+from conftest import (
+    brute_force_mlc,
+    loo_from_fit,
+    multilateration_objective,
+    random_problem,
+    unique_rows,
+)
 
 # Counterexample instance showing the nearest-reference choice is not
 # always the multilateration optimum: all corners of {0,1}^2 as targets.
@@ -85,19 +91,21 @@ class TestTrain:
 
 class TestAutoAlpha:
     def test_two_points(self):
-        assert models.auto_alpha([[0.0], [5.0]]) == 5.0
+        pts = np.array([[0.0], [5.0]])
+        assert models.auto_alpha(pairwise_distances(pts, pts)) == 5.0
 
     def test_equally_spaced_line(self):
         pts = np.arange(1000.0)[:, None]
-        assert models.auto_alpha(pts) == 1.0
+        assert models.auto_alpha(pairwise_distances(pts, pts)) == 1.0
 
     def test_three_point_enumeration(self):
         pts = np.array([[0.0], [1.0], [3.0]])  # distances {1, 2, 3}
-        assert models.auto_alpha(pts) == 1.0
+        assert models.auto_alpha(pairwise_distances(pts, pts)) == 1.0
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
-            models.auto_alpha(np.zeros((3, 2)))
+            pts = np.zeros((3, 2))
+            models.auto_alpha(pairwise_distances(pts, pts))
 
 
 class TestPredictDeltas:
@@ -121,27 +129,27 @@ class TestPredictDeltas:
 class TestIdwScores:
     def test_uniform_weights_give_column_means(self):
         Y = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        scores = models.idw_scores(np.full(3, 2.0), Y, P=3.0)
+        scores = models.idw_scores(np.full(3, 2.0), Y, P=3.0, counts=np.ones(3))
         np.testing.assert_allclose(scores, Y.mean(axis=0), atol=1e-12)
 
     def test_exact_match_dominates_at_large_p(self):
         Y = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-        scores = models.idw_scores(np.array([0.0, 2.0, 3.0]), Y, P=200.0)
+        scores = models.idw_scores(np.array([0.0, 2.0, 3.0]), Y, P=200.0, counts=np.ones(3))
         np.testing.assert_allclose(scores, Y[0], atol=1e-12)
 
     def test_hand_arithmetic(self):
         Y = np.array([[1.0, 0.0], [0.0, 1.0]])
-        scores = models.idw_scores(np.array([1.0, 2.0]), Y, P=1.0)
+        scores = models.idw_scores(np.array([1.0, 2.0]), Y, P=1.0, counts=np.ones(2))
         np.testing.assert_allclose(scores, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
 
     def test_negative_deltas_clamped_to_exact_match(self):
         Y = np.array([[1.0, 0.0], [0.0, 1.0]])
-        scores = models.idw_scores(np.array([-0.5, 2.0]), Y, P=50.0)
+        scores = models.idw_scores(np.array([-0.5, 2.0]), Y, P=50.0, counts=np.ones(2))
         np.testing.assert_allclose(scores, Y[0], atol=1e-12)
 
     def test_requires_positive_power(self):
         with pytest.raises(ValueError):
-            models.idw_scores(np.ones(2), np.eye(2), P=0.0)
+            models.idw_scores(np.ones(2), np.eye(2), P=0.0, counts=np.ones(2))
 
     @given(
         deltas=st.lists(st.floats(0.1, 10.0), min_size=2, max_size=8),
@@ -151,7 +159,7 @@ class TestIdwScores:
     def test_scores_are_convex_combination(self, deltas, p):
         rng = np.random.default_rng(99)
         Y = (rng.random((len(deltas), 3)) < 0.5).astype(float)
-        scores = models.idw_scores(np.array(deltas), Y, P=p)
+        scores = models.idw_scores(np.array(deltas), Y, P=p, counts=np.ones(len(deltas)))
         assert (scores >= -1e-12).all() and (scores <= 1.0 + 1e-12).all()
 
     def test_loo_sized_matrix_scores_in_unit_interval(self):
@@ -160,14 +168,14 @@ class TestIdwScores:
         rng = np.random.default_rng(61)
         D = 2.0 * rng.random((1500, 1500))
         Y = (rng.random((1500, 14)) < 0.3).astype(float)
-        scores = models.idw_scores(D, Y, P=64.0)
+        scores = models.idw_scores(D, Y, P=64.0, counts=np.ones(1500))
         assert ((scores >= 0.0) & (scores <= 1.0)).all()
 
     def test_weight_monotonicity(self):
         # closer reference gets strictly more weight for any positive power
         for P in (0.5, 1.0, 2.0, 8.0):
             Y = np.eye(2)
-            scores = models.idw_scores(np.array([1.0, 1.5]), Y, P=P)
+            scores = models.idw_scores(np.array([1.0, 1.5]), Y, P=P, counts=np.ones(2))
             assert scores[0] > scores[1]
 
 
@@ -257,6 +265,7 @@ class TestLlsMlm:
             coefficients=np.zeros((corners.shape[0], corners.shape[0])),
             alpha=0.1,
             train_labels=corners,
+            label_counts=np.ones(corners.shape[0]),
         )
         scores = models.lls_scores(model, deltas)
         np.testing.assert_allclose(scores, target, atol=1e-6)
@@ -268,6 +277,7 @@ class TestLlsMlm:
             coefficients=np.zeros((4, 4)),
             alpha=0.1,
             train_labels=T,
+            label_counts=np.ones(4),
         )
         scores = models.lls_scores(model, np.array([0.5, 1.0, 1.5, 2.0]))
         assert np.all(np.isfinite(scores))
@@ -276,14 +286,14 @@ class TestLlsMlm:
 class TestBrMlm:
     def test_all_zero_targets_exact(self):
         scores = models.scalar_multilateration_scores(
-            np.zeros((4, 1)), np.zeros((4, 1))
+            np.zeros((4, 1)), np.zeros((4, 1)), np.ones(4)
         )
         np.testing.assert_allclose(scores, [0.0], atol=1e-9)
 
     def test_exact_one_recovery(self):
         t = np.array([[0.0], [1.0], [0.0], [1.0]])
         d = np.abs(1.0 - t)
-        scores = models.scalar_multilateration_scores(t, d)
+        scores = models.scalar_multilateration_scores(t, d, np.ones(4))
         np.testing.assert_allclose(scores, [1.0], atol=1e-9)
         val = multilateration_objective(scores, t, d[:, 0])
         assert val < 1e-12
@@ -294,7 +304,7 @@ class TestBrMlm:
         for _ in range(10):
             t = (rng.random(6) < 0.5).astype(float)[:, None]
             d = (rng.random(6) * 1.5)[:, None]
-            score = models.scalar_multilateration_scores(t, d)[0]
+            score = models.scalar_multilateration_scores(t, d, np.ones(6))[0]
             sq = (grid[:, None] - t[:, 0][None, :]) ** 2
             vals = ((sq - (d[:, 0] ** 2)[None, :]) ** 2).sum(axis=1)
             best = grid[int(np.argmin(vals))]
@@ -355,6 +365,7 @@ def test_exact_distances_all_predictors_agree():
             coefficients=np.zeros((corners.shape[0], corners.shape[0])),
             alpha=0.1,
             train_labels=corners,
+            label_counts=np.ones(corners.shape[0]),
         )
         nn_row = corners[int(np.argmin(models.clamp_deltas(deltas)))]
         np.testing.assert_array_equal(nn_row, target)
@@ -433,7 +444,7 @@ class TestUniqueLabelVectors:
     @pytest.fixture(scope="class")
     def reference(self, problem):
         X, Y, Q = problem
-        refs = models.unique_rows(X)
+        refs = unique_rows(X)
         Dx = pairwise_distances(X, refs)
         gram, B = fit_ridge(Dx, pairwise_distances(Y, Y), self.ALPHA)
         d = pairwise_distances(Q, refs)
@@ -464,18 +475,18 @@ class TestUniqueLabelVectors:
         np.testing.assert_allclose(loo, loo_n[:, reference["first"]], rtol=1e-9, atol=1e-9)
 
         tuned = tune_ml_mlm(X, Y, alpha_mode=self.ALPHA)
-        power, curve = search_power(loo_n, Y)
+        power, curve = search_power(loo_n, Y, Y, np.ones(len(Y)))
         assert tuned.power == power
         for (P, value), (P_n, _) in zip(tuned.lrl_curve, curve):
             assert P == P_n
             scores = models.idw_scores(loo, model.train_labels, P, model.label_counts)
-            scores_n = models.idw_scores(loo_n, Y, P)
+            scores_n = models.idw_scores(loo_n, Y, P, np.ones(len(Y)))
             np.testing.assert_allclose(scores, scores_n, rtol=1e-9, atol=1e-9)
             # scores that tie analytically are ordered by round-off, which the
             # two summation orders may break either way
             low, high = self.ranking_loss_bracket(scores_n, Y, 1e-9)
             assert low - 1e-12 <= value <= high + 1e-12, P
-        threshold = cardinality_threshold(models.idw_scores(loo_n, Y, power), Y)
+        threshold = cardinality_threshold(models.idw_scores(loo_n, Y, power, np.ones(len(Y))), Y)
         assert tuned.threshold == pytest.approx(threshold, rel=1e-9, abs=1e-9)
 
     @staticmethod
@@ -510,12 +521,13 @@ class TestUniqueLabelVectors:
         elif decoder == "lls":
             # unit counts: the anchor-linearized system of one equation per row
             full = models.DistanceModel(references=reference["refs"], coefficients=reference["B"],
-                                        alpha=self.ALPHA, train_labels=Y)
+                                        alpha=self.ALPHA, train_labels=Y,
+                                        label_counts=np.ones(len(Y)))
             scores = models.lls_scores(full, D)
             labels = local_rcut(scores, k_cut)
             pred = models.lls_mlm_predict(tuned.model, Q)
         else:
-            scores = models.scalar_multilateration_scores(Y, reference["br_cols"])
+            scores = models.scalar_multilateration_scores(Y, reference["br_cols"], np.ones(len(Y)))
             labels = local_rcut(scores, k_cut)
             pred = models.br_mlm_predict(models.train_br(X, Y, alpha_mode=self.ALPHA), Q)
         np.testing.assert_allclose(pred.scores, scores, rtol=1e-9, atol=1e-9)

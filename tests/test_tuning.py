@@ -7,7 +7,7 @@ from distmlc import models, tuning
 from distmlc.linalg import pairwise_distances
 from distmlc.metrics import ranking_loss
 
-from conftest import loo_from_fit, random_problem
+from conftest import loo_from_fit, random_problem, unique_rows
 
 
 def naive_loo_oracle(Dx, Dy, alpha, X, Y, refs):
@@ -28,7 +28,7 @@ class TestLooDeltas:
     def test_matches_retrain_oracle(self):
         rng = np.random.default_rng(41)
         X, Y = random_problem(rng, n=10, m=3, l=3)
-        refs = models.unique_rows(X)
+        refs = unique_rows(X)
         Dx = pairwise_distances(X, refs)
         Dy = pairwise_distances(Y, Y)
         loo = loo_from_fit(Dx, Dy, 0.1)
@@ -51,7 +51,7 @@ class TestLooDeltas:
     def test_duplicated_instances_stay_finite(self):
         X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
         Y = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        refs = models.unique_rows(X)
+        refs = unique_rows(X)
         Dx = pairwise_distances(X, refs)
         Dy = pairwise_distances(Y, Y)
         loo = loo_from_fit(Dx, Dy, 0.5)
@@ -114,11 +114,11 @@ class TestSearchPower:
         assert len(tuning.POWER_GRID_EXPONENTS) == 81
         rng = np.random.default_rng(44)
         X, Y = random_problem(rng, n=12, m=3, l=3)
-        refs = models.unique_rows(X)
+        refs = unique_rows(X)
         Dx = pairwise_distances(X, refs)
         Dy = pairwise_distances(Y, Y)
         loo = loo_from_fit(Dx, Dy, 0.1)
-        p, curve = tuning.search_power(loo, Y)
+        p, curve = tuning.search_power(loo, Y, Y, np.ones(len(Y)))
         assert len(curve) == 81
         assert p in {pp for pp, _ in curve}
         best = min(v for _, v in curve)
@@ -127,17 +127,19 @@ class TestSearchPower:
     def test_degenerate_labels_tie_break_smallest(self):
         Y = np.tile([1.0, 0.0], (5, 1))
         loo = np.abs(np.random.default_rng(45).normal(size=(5, 5))) + 0.1
-        p, curve = tuning.search_power(loo, Y)
+        p, curve = tuning.search_power(loo, Y, Y, np.ones(len(Y)))
         assert p == 1.0  # 2^0, all grid points tie at LRL 0
 
     def test_deterministic(self):
         rng = np.random.default_rng(46)
         X, Y = random_problem(rng, n=10, m=3, l=3)
-        refs = models.unique_rows(X)
+        refs = unique_rows(X)
         Dx = pairwise_distances(X, refs)
         Dy = pairwise_distances(Y, Y)
         loo = loo_from_fit(Dx, Dy, 0.1)
-        assert tuning.search_power(loo, Y) == tuning.search_power(loo.copy(), Y.copy())
+        ones = np.ones(len(Y))
+        assert (tuning.search_power(loo, Y, Y, ones)
+                == tuning.search_power(loo.copy(), Y.copy(), Y.copy(), ones))
 
 
 class TestCardinalityThreshold:
