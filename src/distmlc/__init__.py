@@ -32,7 +32,6 @@ from .tuning import (
     cardinality_threshold,
     local_rcut,
     loo_deltas,
-    lrl,
     search_power,
     tune_ml_mlm,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "load_model",
     "local_rcut",
     "loo_deltas",
-    "lrl",
     "ml_mlm_predict",
     "nemenyi_cd",
     "nn_mlm_predict",

@@ -24,7 +24,7 @@ from . import data as dataio
 from . import metrics as metricsmod
 from . import models, stats, tuning
 from .linalg import SingularSystemError
-from .modelio import ModelFileError, dataset_fingerprint, load_model, save_model
+from .modelio import ModelFileError, load_model, save_model
 
 METHODS = ("ml-mlm", "nn-mlm", "lls-mlm", "br-mlm")
 # the keys of a prediction record, in file order
@@ -89,8 +89,8 @@ def fit_method(method, ds, alpha="auto", power="tuned", threshold="cardinality")
 
 
 # Rows per predict_dataset chunk: this budget over the bytes of one row's K input
-# distances and U predicted distances (U*L for br-mlm), K references and U unique
-# label vectors. A chunk's temporaries then stay within a few MB.
+# distances and U predicted distances, K references and U unique label vectors.
+# A chunk's temporaries then stay within a few MB.
 PREDICT_CHUNK_BYTES = 1 << 20
 
 
@@ -119,8 +119,7 @@ def predict_dataset(method, model, ds, threshold=None) -> models.Prediction:
         model = replace(model, threshold=float(threshold), lrl_curve=())
     base = _base_model(model)
     K, U = base.coefficients.shape
-    row_bytes = 8 * (K + U * (base.n_labels if method == "br-mlm" else 1))
-    step = max(1, PREDICT_CHUNK_BYTES // row_bytes)
+    step = max(1, PREDICT_CHUNK_BYTES // (8 * (K + U)))
     X = ds.features
     parts = [decode(model, X[i:i + step]) for i in range(0, X.shape[0], step)]
     return models.Prediction(*(np.concatenate([getattr(p, name) for p in parts])
@@ -162,8 +161,7 @@ def cmd_train(args) -> int:
         args.method, ds, alpha=_alpha_mode(args.alpha),
         power=_power_mode(args.power), threshold=args.threshold,
     )
-    fp = dataset_fingerprint(ds.features, ds.labels)
-    save_model(args.out, model, args.method, fingerprint=fp)
+    save_model(args.out, model, args.method)
     if args.curve_out and args.method == "ml-mlm" and model.lrl_curve:
         tuning.lrl_curve_csv(model.lrl_curve, args.curve_out)
     return EXIT_OK

@@ -7,14 +7,14 @@ identical inputs yields byte-identical files, and load(save(m)) gives
 bit-identical predictions. Loaded arrays are read-only views of the
 bytes read from the file, checked for shape and content before use.
 
-Format 2 keeps the U unique training label vectors (train_labels) and
+Format 3 keeps the U unique training label vectors (train_labels) and
 their counts (label_counts); coefficients are K x U and br-mlm's
-label_coefficients L x K x U. Format 1 files, which held all N label
-vectors, are refused with a request to retrain.
+label_coefficients 2 x K x L. Files of an earlier format (1 held all N
+label vectors, 2 an L x K x U br-mlm stack) are refused with a request
+to retrain.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import zipfile
 
@@ -23,22 +23,12 @@ import numpy as np
 from .models import BrMlmModel, DistanceModel
 from .tuning import TunedMlMlm
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _EPOCH = (1980, 1, 1, 0, 0, 0)
 
 
 class ModelFileError(ValueError):
     """Unreadable or incompatible model file."""
-
-
-def dataset_fingerprint(X, Y) -> str:
-    """Content hash of the training arrays, recorded for drift warnings."""
-    h = hashlib.sha256()
-    for a in (X, Y):
-        a = np.ascontiguousarray(np.asarray(a, dtype=np.float64))
-        h.update(str(a.shape).encode())
-        h.update(a.tobytes())
-    return h.hexdigest()
 
 
 def _blob(a: np.ndarray) -> bytes:
@@ -59,7 +49,7 @@ def _write(path, manifest: dict, blobs: dict) -> None:
             zf.writestr(info, blobs[name])
 
 
-def save_model(path, model, method: str, fingerprint: str = "") -> None:
+def save_model(path, model, method: str) -> None:
     """Serialize a trained model under its method name."""
     if isinstance(model, TunedMlMlm):
         base = model.model
@@ -88,7 +78,6 @@ def save_model(path, model, method: str, fingerprint: str = "") -> None:
         "alpha": base.alpha,
         "dimensions": shapes,
         "label_names": list(base.label_names),
-        "dataset_fingerprint": fingerprint,
     }
     _write(path, manifest, blobs)
 
@@ -112,9 +101,9 @@ def _check_arrays(arrays: dict, method: str) -> None:
         fail(f"coefficients are {coef.shape}, expected {(K, U)} (K x U)")
     if counts.shape != (U,) or not np.all((counts >= 1.0) & (counts == np.round(counts))):
         fail(f"label_counts must be {U} positive whole numbers")
-    if method == "br-mlm" and arrays["label_coefficients"].shape != (L, K, U):
+    if method == "br-mlm" and arrays["label_coefficients"].shape != (2, K, L):
         fail(f"label_coefficients are {arrays['label_coefficients'].shape}, "
-             f"expected {(L, K, U)} (L x K x U)")
+             f"expected {(2, K, L)} (2 x K x L)")
 
 
 def load_model(path):
@@ -123,10 +112,10 @@ def load_model(path):
         with zipfile.ZipFile(path, "r") as zf:
             manifest = json.loads(zf.read("manifest.json"))
             version = manifest.get("format_version")
-            if version == 1:
+            if version in (1, 2):
                 raise ModelFileError(
-                    f"{path} is a format 1 model file, which this version of distmlc "
-                    "no longer reads; retrain the model to write format "
+                    f"{path} is a format {version} model file, which this version of "
+                    "distmlc no longer reads; retrain the model to write format "
                     f"{FORMAT_VERSION}")
             if version != FORMAT_VERSION:
                 raise ModelFileError(f"unsupported format_version {version}")

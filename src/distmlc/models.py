@@ -56,10 +56,6 @@ class DistanceModel:
             raise ValueError("need one label count per unique label vector")
 
     @property
-    def n_labels(self) -> int:
-        return self.train_labels.shape[1]
-
-    @property
     def n_features(self) -> int:
         return self.references.shape[1]
 
@@ -69,9 +65,10 @@ class BrMlmModel:
     """Per-label scalar distance models sharing one input-space factorization.
 
     base: the joint distance model (used for nearest-reference cardinality).
-    label_coefficients: L x K x U stack; slice l maps input distances to
-        per-label output distances |y_l - t_l| against the U unique label
-        vectors t of base.train_labels.
+    label_coefficients: 2 x K x L stack; column l of slice t maps input
+        distances to label l's output distance |y_l - t| against the
+        training rows whose label l is t (0 or 1). For 0/1 labels those
+        are the only two distances a label has to its training rows.
     """
 
     base: DistanceModel
@@ -174,22 +171,17 @@ def train(X, Y, alpha_mode="auto", label_names=()) -> DistanceModel:
 def train_br(X, Y, alpha_mode="auto", label_names=()) -> BrMlmModel:
     """Fit the binary-relevance variant: one scalar output-distance map per label.
 
-    The Gram factorization of the input distances is shared across labels;
-    only the output distance matrix differs per label: N x U, from every
-    training row to each unique label vector.
+    The Gram factorization of the input distances is shared across labels.
+    Label l's output distance from training row n to a row whose label is
+    t is |Y[n, l] - t|: Y[:, l] for t = 0 and 1 - Y[:, l] for t = 1, so
+    one product gives every label's two maps.
     """
     base, Dx, _, gram, _ = fit(X, Y, alpha_mode=alpha_mode, label_names=label_names)
     if gram is None:
         raise SingularSystemError("U = Dx^T Dx + alpha*I is not positive definite")
-    projector = gram.solve(Dx.T)  # K x N, shared across labels
-    del Dx, gram, _  # free the fit's matrices before the L x K x U stack
     Y = np.asarray(Y, dtype=np.float64)  # fit checked it
-    T = base.train_labels
-    stacks = np.empty((T.shape[1], base.references.shape[0], T.shape[0]))
-    for l in range(T.shape[1]):
-        Dy_l = np.abs(Y[:, l][:, None] - T[:, l][None, :])
-        np.matmul(projector, Dy_l, out=stacks[l])
-    return BrMlmModel(base=base, label_coefficients=stacks)
+    maps = gram.solve(Dx.T) @ np.stack([Y, 1.0 - Y])
+    return BrMlmModel(base=base, label_coefficients=maps)
 
 
 def _queries(x) -> tuple[np.ndarray, bool]:
@@ -363,30 +355,32 @@ def lls_mlm_predict(model: DistanceModel, x) -> Prediction:
 
 def scalar_multilateration_scores(target_cols: np.ndarray, delta_cols: np.ndarray,
                                   counts) -> np.ndarray:
-    """Closed-form per-label minimizers of J_l(y) = sum_k c_k ((y - t_kl)^2 - d_kl^2)^2.
+    """Closed-form per-label minimizers of J_l(y) = sum_k c_kl ((y - t_kl)^2 - d_kl^2)^2.
 
     Stationarity gives a cubic in y; the real root with the least
-    objective value wins (smallest root on ties). target_cols is K x L;
-    delta_cols is K x L for one query (giving L scores) or Q x K x L for
-    Q queries (giving Q x L). counts holds the K weights c_k: a target row
-    counted c_k times.
+    objective value wins (smallest root on ties). target_cols is K x L,
+    or K x 1 when every label has the same targets; delta_cols is K x L
+    for one query (giving L scores) or Q x K x L for Q queries (giving
+    Q x L). counts holds the weights c_kl, a target row counted c_kl
+    times: K of them shared by every label, or K x L.
     """
     T = np.asarray(target_cols, dtype=np.float64)
     d2 = clamp_deltas(delta_cols) ** 2
-    c = np.asarray(counts, dtype=np.float64)
-    cT = c[:, None] * T
+    c = np.asarray(counts, dtype=np.float64).reshape(T.shape[0], -1)
+    cT = c * T
     # dJ/dy = 4 * sum_k c_k (y - t_k) * ((y - t_k)^2 - d_k^2)
     #       = 4 * (sum(c) y^3 + c2 y^2 + c1 y + c0)
     c2 = -3.0 * cT.sum(axis=0)
-    c1 = 3.0 * (cT * T).sum(axis=0) - (c[:, None] * d2).sum(axis=-2)
+    c1 = 3.0 * (cT * T).sum(axis=0) - (c * d2).sum(axis=-2)
     c0 = -((cT * T**2).sum(axis=0)) + (d2 * cT).sum(axis=-2)
     # roots are the eigenvalues of the companion matrices, as in np.roots
     companion = np.zeros(c1.shape + (3, 3))
-    companion[..., 0, :] = np.stack(np.broadcast_arrays(c2, c1, c0), axis=-1) / -c.sum()
+    companion[..., 0, :] = np.stack(np.broadcast_arrays(c2, c1, c0), axis=-1) \
+        / -c.sum(axis=0)[:, None]
     companion[..., 1, 0] = companion[..., 2, 1] = 1.0
     roots = np.linalg.eigvals(companion)
     y = roots.real
-    vals = np.stack([(c[:, None] * ((y[..., None, :, j] - T) ** 2 - d2) ** 2).sum(axis=-2)
+    vals = np.stack([(c * ((y[..., None, :, j] - T) ** 2 - d2) ** 2).sum(axis=-2)
                      for j in range(3)], axis=-1)
     vals[np.abs(roots.imag) >= 1e-8] = np.inf
     # symmetric instances give analytically equal minima that differ
@@ -396,11 +390,19 @@ def scalar_multilateration_scores(target_cols: np.ndarray, delta_cols: np.ndarra
 
 
 def br_mlm_predict(model: BrMlmModel, x) -> Prediction:
-    """Per-label cubic multilateration scores with local rank-cut thresholding."""
+    """Per-label cubic multilateration scores with local rank-cut thresholding.
+
+    Each label's cubic has two target rows, 0 and 1, weighted by how many
+    training rows carry that value of the label.
+    """
     X, one_row = _queries(x)
     base = model.base
     d = pairwise_distances(X, base.references)
-    # per-label predicted output distances, L x Q x U, viewed as Q x U x L
-    delta_cols = np.matmul(d, model.label_coefficients).transpose(1, 2, 0)
-    scores = scalar_multilateration_scores(base.train_labels, delta_cols, base.label_counts)
+    # each label's predicted distances to its 0- and 1-valued training rows,
+    # 2 x Q x L, viewed as Q x 2 x L
+    delta_cols = (d @ model.label_coefficients).transpose(1, 0, 2)
+    n1 = base.label_counts @ base.train_labels
+    counts = np.stack([base.label_counts.sum() - n1, n1])
+    targets = np.array([[0.0], [1.0]])
+    scores = scalar_multilateration_scores(targets, delta_cols, counts)
     return _finish_rank_cut(scores, base, _rowwise_product(d, base.coefficients), one_row)

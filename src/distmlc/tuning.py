@@ -53,21 +53,6 @@ def loo_deltas(gram: RegularizedGram, Dx, Dy, B) -> np.ndarray:
     return loo
 
 
-def lrl(loo, Y, P: float) -> float:
-    """Leave-one-out ranking loss at power P.
-
-    loo has one column per row of Y. For each instance the IDW scores
-    built from its out-of-sample distance profile are checked against its
-    ground-truth bipartition; the value is the mean fraction of
-    (relevant, irrelevant) pairs ranked strictly wrongly. Instances with
-    all-relevant or all-irrelevant rows are skipped (the pair count is
-    zero there). Scores are unbounded, as in search_power.
-    """
-    Y = np.asarray(Y, dtype=np.float64)
-    log_d = _models.log_distances(loo)
-    return ranking_loss(_models.idw_scores_from_log(log_d, Y, P, np.ones(Y.shape[0])), Y)
-
-
 def search_power(loo, Y, labels, counts) -> tuple[float, tuple[tuple[float, float], ...]]:
     """Grid search P in {2^s : s = 0.0, 0.1, ..., 8.0} minimizing the LOO ranking loss.
 

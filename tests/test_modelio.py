@@ -52,9 +52,8 @@ class TestRoundTrip:
         X, Y = problem
         model = models.train(X, Y, alpha_mode=0.1, label_names=("a", "b", "c"))
         p = tmp_path / "m.dmlm"
-        modelio.save_model(p, model, "nn-mlm", fingerprint="abc123")
-        loaded, manifest = modelio.load_model(p)
-        assert manifest["dataset_fingerprint"] == "abc123"
+        modelio.save_model(p, model, "nn-mlm")
+        loaded, _ = modelio.load_model(p)
         assert loaded.label_names == ("a", "b", "c")
         assert (loaded.coefficients == model.coefficients).all()
 
@@ -112,16 +111,6 @@ class TestErrors:
             modelio.load_model(p)
 
 
-class TestFingerprint:
-    def test_sensitive_to_content_and_shape(self):
-        X = np.arange(6.0).reshape(3, 2)
-        Y = np.eye(3)
-        base = modelio.dataset_fingerprint(X, Y)
-        assert modelio.dataset_fingerprint(X, Y) == base
-        assert modelio.dataset_fingerprint(X + 1e-12, Y) != base
-        assert modelio.dataset_fingerprint(X.reshape(2, 3), Y) != base
-
-
 def rewrite(path, edit) -> None:
     """Rewrite a saved model file after edit(manifest, arrays) changed them in place."""
     with zipfile.ZipFile(path) as zf:
@@ -146,7 +135,7 @@ class TestValidation:
         Y[1] = Y[0]  # fewer unique label vectors (U) than rows
         X[1] = X[0]  # and fewer references (K)
         model = models.train_br(X, Y, alpha_mode=0.1)
-        assert model.label_coefficients.shape[1] != model.label_coefficients.shape[2]
+        assert model.label_coefficients.shape[1] != model.label_coefficients.shape[2]  # K != L
         p = tmp_path / "m.dmlm"
         modelio.save_model(p, model, "br-mlm")
         return p
@@ -183,7 +172,7 @@ class TestValidation:
             arrays["label_counts"] = arrays["label_counts"][:-1]
         self.assert_refused(saved, edit, "label_counts")
 
-    def test_label_coefficients_not_l_by_k_by_u(self, saved):
+    def test_label_coefficients_not_2_by_k_by_l(self, saved):
         def edit(manifest, arrays):
             arrays["label_coefficients"] = arrays["label_coefficients"].transpose(0, 2, 1)
         self.assert_refused(saved, edit, "label_coefficients")
@@ -199,9 +188,13 @@ class TestValidation:
             arrays[blob].flat[3] = np.nan
         self.assert_refused(saved, edit, "non-finite")
 
-    def test_format_1_asks_to_retrain(self, saved):
-        # a format 1 file: all N label vectors, no label_counts
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_format_1_asks_to_retrain(self, saved, version):
         def edit(manifest, arrays):
-            manifest["format_version"] = 1
-            del arrays["label_counts"]
+            manifest["format_version"] = version
+            if version == 1:  # all N label vectors, no label_counts
+                del arrays["label_counts"]
+            else:  # an L x K x U br-mlm stack
+                (K, U), L = arrays["coefficients"].shape, arrays["train_labels"].shape[1]
+                arrays["label_coefficients"] = np.zeros((L, K, U))
         self.assert_refused(saved, edit, "retrain")

@@ -310,6 +310,23 @@ class TestBrMlm:
             best = grid[int(np.argmin(vals))]
             assert abs(score - best) < 1e-4
 
+    def test_per_label_counts_match_expanded_rows(self):
+        # targets 0 and 1 with a count per label give what the same problem
+        # gives with one target row per count, each counted once
+        rng = np.random.default_rng(28)
+        for _ in range(10):
+            Q, L = 3, 5
+            d = rng.random((Q, 2, L)) * 1.5
+            counts = rng.integers(1, 6, size=(2, L))
+            counts[0, 0] = 0  # a label that every row carries
+            scores = models.scalar_multilateration_scores(
+                np.array([[0.0], [1.0]]), d, counts)
+            for l in range(L):
+                t = np.repeat([0.0, 1.0], counts[:, l])[:, None]
+                d_l = np.repeat(d[:, :, l], counts[:, l], axis=1)[:, :, None]
+                expanded = models.scalar_multilateration_scores(t, d_l, np.ones(len(t)))
+                np.testing.assert_allclose(scores[:, l], expanded[:, 0], rtol=1e-9, atol=1e-9)
+
 
 class TestCategorizeUncertainty:
     @pytest.mark.parametrize(

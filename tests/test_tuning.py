@@ -66,16 +66,22 @@ class TestLooDeltas:
 
 
 class TestLrl:
+    """The LOO ranking-loss curve of search_power, one LOO column per row of Y."""
+
+    @staticmethod
+    def curve(loo, Y):
+        return [value for _, value in tuning.search_power(loo, Y, Y, np.ones(len(Y)))[1]]
+
     def test_perfect_ranking_zero(self):
         Y = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         # craft loo deltas: tiny distance to the matching training row
         loo = np.array([[0.01, 5.0], [5.0, 0.01]])
-        assert tuning.lrl(loo, Y, P=4.0) == 0.0
+        assert self.curve(loo, Y) == [0.0] * 81
 
     def test_inverted_ranking_one(self):
         Y = np.array([[1.0, 0.0], [0.0, 1.0]])
         loo = np.array([[5.0, 0.01], [0.01, 5.0]])
-        assert tuning.lrl(loo, Y, P=4.0) == 1.0
+        assert self.curve(loo, Y) == [1.0] * 81
 
     def test_pair_enumeration(self):
         # one instance, scores [0.2, 0.5, 0.1] vs truth [1,0,0]:
@@ -88,14 +94,13 @@ class TestLrl:
     def test_all_relevant_instances_skipped(self):
         Y = np.array([[1.0, 1.0], [1.0, 0.0]])
         loo = np.array([[1.0, 2.0], [2.0, 1.0]])
-        # only instance 1 counts
-        val = tuning.lrl(loo, Y, P=2.0)
-        assert 0.0 <= val <= 1.0
+        # only instance 1 counts, and its relevant label ranks first
+        assert self.curve(loo, Y) == [0.0] * 81
 
     def test_no_usable_instance_rejected(self):
         Y = np.ones((2, 2))
         with pytest.raises(ValueError):
-            tuning.lrl(np.ones((2, 2)), Y, P=2.0)
+            self.curve(np.ones((2, 2)), Y)
 
     def test_invariant_under_monotone_score_transform(self):
         # LRL depends only on pairwise score order
