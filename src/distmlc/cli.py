@@ -73,10 +73,11 @@ def _power_mode(value: str):
 def fit_method(method, ds, alpha="auto", power="tuned", threshold="cardinality"):
     """Train one model of the requested kind on a Dataset."""
     X, Y, names = ds.features, ds.labels, ds.label_names
+    if threshold == "local-rcut":
+        raise UsageError("local rank-cut is chosen when decoding: train with "
+                         "cardinality or a float, then predict --threshold local-rcut")
     if method == "ml-mlm":
-        tmode = threshold if threshold == "cardinality" else (
-            0.5 if threshold == "local-rcut" else float(threshold)
-        )
+        tmode = threshold if threshold == "cardinality" else float(threshold)
         return tuning.tune_ml_mlm(
             X, Y, alpha_mode=alpha, power_mode=power,
             threshold_mode=tmode, label_names=names,
@@ -312,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default="auto", help="auto or a fixed float")
     p.add_argument("--power", default="tuned", help="tuned or a fixed float")
     p.add_argument("--threshold", default="cardinality",
-                   help="cardinality, local-rcut, or a fixed float")
+                   help="cardinality or a fixed float")
     p.add_argument("--out", required=True)
     p.add_argument("--curve-out", default=None,
                    help="also write the power-search curve as CSV")

@@ -168,19 +168,15 @@ def ranking_loss(scores, truth) -> float:
     return float((violations / (n_rel * n_irr)).mean())
 
 
-def coverage(scores, truth, literal: bool = False) -> float:
-    """Ranking depth needed to capture every relevant label.
-
-    Default is the worst relevant label's rank minus one. With
-    literal=True the worst relevant label itself is included in the
-    count (one higher per instance).
-    """
+def coverage(scores, truth) -> float:
+    """Ranking depth needed to capture every relevant label: the worst
+    relevant label's rank minus one."""
     Z, G = _rankable(scores, truth, need_irrelevant=False)
     total = 0.0
     for z, g in zip(Z, G):
         worst = z[g == 1.0].min()
         depth = np.count_nonzero(z >= worst)
-        total += depth if literal else depth - 1
+        total += depth - 1
     return total / Z.shape[0]
 
 

@@ -15,6 +15,7 @@ training rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,11 @@ class DistanceModel:
     @property
     def n_features(self) -> int:
         return self.references.shape[1]
+
+    @cached_property
+    def label_weights(self) -> np.ndarray:
+        """label_weights(train_labels, label_counts), built once per model."""
+        return label_weights(self.train_labels, self.label_counts)
 
 
 @dataclass(frozen=True)
@@ -223,18 +229,24 @@ def log_distances(deltas) -> np.ndarray:
     return np.log(np.where(D > 0.0, D, 1.0))
 
 
-def idw_scores_from_log(log_deltas, train_labels, P: float, counts) -> np.ndarray:
-    """IDW scores from log_distances(deltas), before idw_scores bounds them by 1."""
+def label_weights(train_labels, counts) -> np.ndarray:
+    """The U x 2L matrix [c*Y | c*(1 - Y)] that idw_ratio scores against."""
+    Y = np.asarray(train_labels, dtype=np.float64)
+    return np.asarray(counts, dtype=np.float64)[:, None] * np.hstack([Y, 1.0 - Y])
+
+
+def idw_ratio(log_deltas, weights, P: float) -> np.ndarray:
+    """IDW scores from log_distances(deltas) and label_weights(labels, counts).
+    Label l scores a / (a + b), the weights c * delta^-P (in log space, so large
+    P cannot overflow) summed over label vectors with (a) and without (b) l: in
+    [0, 1], and exactly 1 (0) when every vector of nonzero weight has (lacks) l."""
     if P <= 0:
         raise ValueError("power parameter P must be positive")
     logw = -P * np.asarray(log_deltas, dtype=np.float64)
     logw -= logw.max(axis=-1, keepdims=True)
-    W = np.exp(logw, out=logw)
-    c = np.asarray(counts, dtype=np.float64)
-    # counts go into the labels, not into the larger W: for 0/1 labels each
-    # product c*w*y is rounded once either way
-    cY = c[:, None] * np.asarray(train_labels, dtype=np.float64)
-    return (W @ cY) / (W @ c)[..., None]
+    ab = np.exp(logw, out=logw) @ weights
+    a, b = ab[..., :ab.shape[-1] // 2], ab[..., ab.shape[-1] // 2:]
+    return a / (a + b)
 
 
 def idw_scores(deltas, train_labels, P: float, counts) -> np.ndarray:
@@ -244,15 +256,11 @@ def idw_scores(deltas, train_labels, P: float, counts) -> np.ndarray:
     train_labels, or a Q x U matrix, one row per query; counts holds the
     U multiplicities of those rows (a trained model's label_counts, which
     go with its train_labels). A label vector's weight is its count times
-    delta^-P, with
-    delta^-P taken as 1 for a zero delta (negatives are clamped first).
-    Computed in log space so that large P does not overflow; only weight
-    ratios matter for the normalized score.
+    delta^-P, with delta^-P taken as 1 for a zero delta (negatives are
+    clamped first). Scores lie in [0, 1], exactly 1 (0) for a label that
+    every label vector of nonzero weight has (lacks); see idw_ratio.
     """
-    scores = idw_scores_from_log(log_distances(deltas), train_labels, P, counts)
-    # W @ cY and W @ c add in different orders, which can leave a score a
-    # few ulps above 1
-    return np.minimum(scores, 1.0, out=scores)
+    return idw_ratio(log_distances(deltas), label_weights(train_labels, counts), P)
 
 
 def categorize_uncertainty(min_distance):
@@ -299,19 +307,17 @@ def nn_mlm_predict(model: DistanceModel, x) -> Prediction:
 def ml_mlm_predict(tuned, x) -> Prediction:
     """IDW-scored prediction with the tuned power and global threshold."""
     X, one_row = _queries(x)
-    model = tuned.model
-    deltas = predict_deltas(model, X)
-    scores = idw_scores(deltas, model.train_labels, tuned.power, model.label_counts)
+    deltas = predict_deltas(tuned.model, X)
+    scores = idw_ratio(log_distances(deltas), tuned.model.label_weights, tuned.power)
     return _finish(scores, scores > tuned.threshold, deltas, one_row)
 
 
 def ml_mlm_predict_rcut(tuned, x) -> Prediction:
     """IDW-scored prediction thresholded by the nearest-reference cardinality."""
     X, one_row = _queries(x)
-    model = tuned.model
-    deltas = predict_deltas(model, X)
-    scores = idw_scores(deltas, model.train_labels, tuned.power, model.label_counts)
-    return _finish_rank_cut(scores, model, deltas, one_row)
+    deltas = predict_deltas(tuned.model, X)
+    scores = idw_ratio(log_distances(deltas), tuned.model.label_weights, tuned.power)
+    return _finish_rank_cut(scores, tuned.model, deltas, one_row)
 
 
 def lls_scores(model: DistanceModel, deltas) -> np.ndarray:

@@ -61,14 +61,11 @@ def search_power(loo, Y, labels, counts) -> tuple[float, tuple[tuple[float, floa
     are the training instances. Returns the winning P (ties go to the
     smallest grid point) and the full (P, LRL) curve.
     """
-    # Scores are not bounded by 1 here: that would turn round-off pairs (relevant
-    # at 1.0, irrelevant at 1 + 2e-16) from violations into ties and move the curve.
-    Y = np.asarray(Y, dtype=np.float64)
-    log_d = _models.log_distances(loo)  # shared by all 81 grid points
+    log_d, weights = _models.log_distances(loo), _models.label_weights(labels, counts)
     curve = []
     for s in POWER_GRID_EXPONENTS:
         P = float(2.0**s)
-        scores = _models.idw_scores_from_log(log_d, labels, P, counts)
+        scores = _models.idw_ratio(log_d, weights, P)
         curve.append((P, ranking_loss(scores, Y)))
     best_p = min(curve, key=lambda point: point[1])[0]  # first of equal minima
     return best_p, tuple(curve)

@@ -18,9 +18,10 @@ expected.npz  what distmlc computes on it:
               _min_distance and _uncertainty.
 
 tests/test_golden.py recomputes the outputs with the functions below
-and compares them with these files. Running this script rewrites the
-files: do that only to make new goldens on purpose, never to make a
-failing golden test pass.
+and compares them with these files. Running this script prints each
+output's largest change against the expected.npz it replaces, then
+rewrites the files: do that only to make new goldens on purpose, never
+to make a failing golden test pass.
 """
 from __future__ import annotations
 
@@ -125,12 +126,31 @@ def tuning_outputs(problem: dict) -> dict:
     }
 
 
+def print_changes(expected: dict) -> None:
+    """Print each output's largest change against the expected.npz on disk."""
+    path = HERE / "expected.npz"
+    if not path.exists():
+        return
+    with np.load(path) as f:
+        old = dict(f)
+    for key in sorted(set(old) | set(expected)):
+        if key not in old or key not in expected:
+            print(f"{key}: {'added' if key in expected else 'removed'}")
+        elif old[key].shape != expected[key].shape:
+            print(f"{key}: shape {old[key].shape} -> {expected[key].shape}")
+        elif old[key].dtype.kind in "fi":
+            print(f"{key}: max change {np.abs(expected[key] - old[key]).max(initial=0.0):.3g}")
+        else:
+            print(f"{key}: {np.count_nonzero(expected[key] != old[key])} entries differ")
+
+
 def main() -> int:
     problem = make_problem()
     expected = tuning_outputs(problem)
     expected.update(api_outputs(problem))
     with tempfile.TemporaryDirectory() as tmp:
         expected.update(cli_outputs(problem, Path(tmp)))
+    print_changes(expected)
     np.savez(HERE / "problem.npz", **problem)
     np.savez(HERE / "expected.npz", **expected)
     print(f"wrote {len(problem)} inputs and {len(expected)} outputs to {HERE}")

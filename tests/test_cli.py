@@ -107,6 +107,16 @@ class TestTrainPredictEvaluate:
             rec = json.loads(line)
             assert sum(rec["labels"]) <= len(rec["labels"])
 
+    def test_local_rcut_at_train_is_usage_error(self, tmp_path, toy_specs, capsys):
+        # local rank-cut is chosen when decoding, not stored as a threshold
+        train, _ = toy_specs
+        model_path = tmp_path / "m.dmlm"
+        assert cli.main([
+            "train", train, "--threshold", "local-rcut", "--out", str(model_path),
+        ]) == 1
+        assert "predict --threshold local-rcut" in capsys.readouterr().err
+        assert not model_path.exists()
+
     def test_empty_input_yields_empty_output(self, tmp_path, toy_specs):
         train, _ = toy_specs
         model_path = tmp_path / "m.dmlm"

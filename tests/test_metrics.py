@@ -200,11 +200,6 @@ class TestRanking:
             np.array([[0.9, 0.5, 0.1]]), np.array([[1.0, 0.0, 1.0]])
         ) == 2.0
 
-    def test_coverage_literal_counts_one_more(self):
-        z = np.array([[0.9, 0.5, 0.1]])
-        g = np.array([[1.0, 0.0, 1.0]])
-        assert metrics.coverage(z, g, literal=True) == metrics.coverage(z, g) + 1.0
-
     def test_one_error_cases(self):
         g = np.array([[1.0, 0.0, 0.0]])
         assert metrics.one_error(np.array([[0.9, 0.5, 0.1]]), g) == 0.0

@@ -160,16 +160,27 @@ class TestIdwScores:
         rng = np.random.default_rng(99)
         Y = (rng.random((len(deltas), 3)) < 0.5).astype(float)
         scores = models.idw_scores(np.array(deltas), Y, P=p, counts=np.ones(len(deltas)))
-        assert (scores >= -1e-12).all() and (scores <= 1.0 + 1e-12).all()
+        assert ((scores >= 0.0) & (scores <= 1.0)).all()
 
     def test_loo_sized_matrix_scores_in_unit_interval(self):
-        # W @ Y and W.sum add in different orders; unbounded, one of these
-        # 21,000 scores came out 2.2e-16 above 1
+        # a / (a + b) of nonnegative sums cannot round past 1; a quotient whose
+        # numerator and denominator add in different orders put one of these
+        # 21,000 scores 2.2e-16 above 1
         rng = np.random.default_rng(61)
         D = 2.0 * rng.random((1500, 1500))
         Y = (rng.random((1500, 14)) < 0.3).astype(float)
         scores = models.idw_scores(D, Y, P=64.0, counts=np.ones(1500))
         assert ((scores >= 0.0) & (scores <= 1.0)).all()
+
+    @pytest.mark.parametrize("P", [64.0, 256.0])
+    def test_label_in_every_or_no_vector_scores_exactly_one_or_zero(self, P):
+        rng = np.random.default_rng(61)  # the matrix of the test above
+        D = 2.0 * rng.random((1500, 1500))
+        Y = (rng.random((1500, 14)) < 0.3).astype(float)
+        Y[:, 3], Y[:, 9] = 1.0, 0.0
+        counts = rng.integers(1, 5, size=1500).astype(float)
+        scores = models.idw_scores(D, Y, P=P, counts=counts)
+        assert (scores[:, 3] == 1.0).all() and (scores[:, 9] == 0.0).all()
 
     def test_weight_monotonicity(self):
         # closer reference gets strictly more weight for any positive power

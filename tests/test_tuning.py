@@ -135,6 +135,20 @@ class TestSearchPower:
         p, curve = tuning.search_power(loo, Y, Y, np.ones(len(Y)))
         assert p == 1.0  # 2^0, all grid points tie at LRL 0
 
+    def test_analytic_tie_at_one_is_no_violation(self):
+        # the relevant label 0 and the irrelevant label 1 are in every label
+        # vector, so both score 1 at every power: a tie, not a ranking error
+        rng = np.random.default_rng(47)
+        labels = (rng.random((9, 4)) < 0.5).astype(float)
+        labels[:, :2] = 1.0
+        loo = 0.1 + 2.0 * rng.random((30, 9))
+        Y = np.tile([1.0, 0.0, 0.0, 0.0], (30, 1))
+        counts = rng.integers(1, 5, size=9).astype(float)
+        scores = models.idw_scores(loo, labels, 256.0, counts)
+        assert (scores[:, :2] == 1.0).all()
+        _, curve = tuning.search_power(loo, Y, labels, counts)
+        assert all(value == 0.0 for _, value in curve)
+
     def test_deterministic(self):
         rng = np.random.default_rng(46)
         X, Y = random_problem(rng, n=10, m=3, l=3)
