@@ -7,9 +7,9 @@ multilateration solve, or per-label closed-form cubics. Hyper-parameters
 are tuned with closed-form leave-one-out machinery; a full multi-label
 metric suite and Friedman/Nemenyi comparison tooling are included.
 """
-from .data import Dataset, SplitPair, parse_arff, parse_csv, validate
+from .data import Dataset, parse_arff, parse_csv
 from .linalg import pairwise_distances
-from .metrics import EvalReport, LabelStats, evaluate, label_stats
+from .metrics import EvalReport, evaluate
 from .models import (
     BrMlmModel,
     DistanceModel,
@@ -43,10 +43,8 @@ __all__ = [
     "Dataset",
     "DistanceModel",
     "EvalReport",
-    "LabelStats",
     "Prediction",
     "ResultTable",
-    "SplitPair",
     "TunedMlMlm",
     "auto_alpha",
     "average_ranks",
@@ -57,7 +55,6 @@ __all__ = [
     "evaluate",
     "friedman_test",
     "idw_scores",
-    "label_stats",
     "lls_mlm_predict",
     "load_model",
     "local_rcut",
@@ -74,5 +71,4 @@ __all__ = [
     "train",
     "train_br",
     "tune_ml_mlm",
-    "validate",
 ]

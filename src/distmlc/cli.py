@@ -62,17 +62,12 @@ def load_dataset(spec, labels_xml=None, labels_last=None, scale="off", name=None
     return ds
 
 
-def _alpha_mode(value: str):
-    return "auto" if value == "auto" else float(value)
-
-
-def _power_mode(value: str):
-    return "tuned" if value == "tuned" else float(value)
-
-
 def fit_method(method, ds, alpha="auto", power="tuned", threshold="cardinality"):
-    """Train one model of the requested kind on a Dataset."""
+    """Train one model of the requested kind on a Dataset; alpha, power and
+    threshold are given as on the train command line."""
     X, Y, names = ds.features, ds.labels, ds.label_names
+    alpha = alpha if alpha == "auto" else float(alpha)
+    power = power if power == "tuned" else float(power)
     if threshold == "local-rcut":
         raise UsageError("local rank-cut is chosen when decoding: train with "
                          "cardinality or a float, then predict --threshold local-rcut")
@@ -114,6 +109,8 @@ def predict_dataset(method, model, ds, threshold=None) -> models.Prediction:
     }.get(method)
     if decode is None:
         raise UsageError(f"unknown method {method!r}")
+    if threshold is not None and method != "ml-mlm":
+        raise UsageError(f"--threshold applies to ml-mlm only, not to {method}")
     if method == "ml-mlm" and threshold == "local-rcut":
         decode = models.ml_mlm_predict_rcut
     elif method == "ml-mlm" and threshold not in (None, "cardinality"):
@@ -159,8 +156,7 @@ def cmd_train(args) -> int:
         scale=args.scale,
     )
     model = fit_method(
-        args.method, ds, alpha=_alpha_mode(args.alpha),
-        power=_power_mode(args.power), threshold=args.threshold,
+        args.method, ds, alpha=args.alpha, power=args.power, threshold=args.threshold,
     )
     save_model(args.out, model, args.method)
     if args.curve_out and args.method == "ml-mlm" and model.lrl_curve:
@@ -293,10 +289,14 @@ def cmd_distbox(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def _add_data_flags(p):
+def _add_label_flags(p):
     p.add_argument("--labels-xml", default=None, help="Mulan XML label manifest")
     p.add_argument("--labels-last", type=int, default=None,
                    help="treat the last L attributes as labels")
+
+
+def _add_data_flags(p):
+    _add_label_flags(p)
     p.add_argument("--scale", choices=("off", "minmax"), default="off")
 
 
@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("data", nargs="?", default=None)
     p.add_argument("--threshold", default=None,
-                   help="cardinality, local-rcut, or a fixed float")
+                   help="ml-mlm only: cardinality, local-rcut, or a fixed float")
     p.add_argument("--out", required=True)
     _add_data_flags(p)
     p.set_defaults(func=cmd_predict)
@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("truth", help="ground-truth dataset spec")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_data_flags(p)
+    _add_label_flags(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("benchmark", help="train/predict/evaluate over datasets")

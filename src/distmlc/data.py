@@ -1,12 +1,11 @@
 """Dataset ingestion: Mulan-style ARFF (dense and sparse) with an XML
-label manifest, plus a CSV pair fallback, validation diagnostics, and
-round-trippable export.
+label manifest, plus a CSV pair fallback and min-max feature scaling.
 """
 from __future__ import annotations
 
 import csv
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,6 @@ class Dataset:
     labels: np.ndarray
     feature_names: tuple[str, ...]
     label_names: tuple[str, ...]
-    source_format: str
 
     def __post_init__(self):
         n, m = self.features.shape
@@ -36,36 +34,6 @@ class Dataset:
             raise DataFormatError("label columns must be binary")
         if not np.all(np.isfinite(self.features)):
             raise DataFormatError("features contain non-finite values")
-
-    @property
-    def n_instances(self) -> int:
-        return self.features.shape[0]
-
-
-@dataclass(frozen=True)
-class SplitPair:
-    train: Dataset
-    test: Dataset
-
-    def __post_init__(self):
-        if self.train.feature_names != self.test.feature_names:
-            raise DataFormatError("train/test feature schemas differ")
-        if self.train.label_names != self.test.label_names:
-            raise DataFormatError("train/test label schemas differ")
-
-
-@dataclass(frozen=True)
-class Diagnostics:
-    duplicate_feature_rows: int
-    all_zero_label_rows: int
-    constant_features: int
-
-    def is_clean(self) -> bool:
-        return not (
-            self.duplicate_feature_rows
-            or self.all_zero_label_rows
-            or self.constant_features
-        )
 
 
 def read_label_manifest(path) -> tuple[str, ...]:
@@ -140,7 +108,6 @@ def parse_arff(
     rows: list[np.ndarray] = []
     n_attrs = 0
     in_data = False
-    sparse_seen = False
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -163,7 +130,6 @@ def parse_arff(
                 raise DataFormatError(f"line {lineno}: unexpected header line")
             row = np.zeros(n_attrs)
             if line.startswith("{"):
-                sparse_seen = True
                 body = line.strip("{}").strip()
                 if body:
                     for item in body.split(","):
@@ -214,7 +180,6 @@ def parse_arff(
         labels=values[:, label_idx],
         feature_names=tuple(attr_names[i] for i in feat_idx),
         label_names=tuple(label_names),
-        source_format="arff_sparse" if sparse_seen else "arff_dense",
     )
 
 
@@ -251,7 +216,6 @@ def parse_csv(features_path, labels_path, name: str | None = None) -> Dataset:
         labels=Y,
         feature_names=feat_names,
         label_names=label_names,
-        source_format="csv",
     )
 
 
@@ -267,18 +231,4 @@ def min_max_scale(ds: Dataset) -> Dataset:
         labels=ds.labels,
         feature_names=ds.feature_names,
         label_names=ds.label_names,
-        source_format=ds.source_format,
-    )
-
-
-def validate(ds: Dataset) -> Diagnostics:
-    """Non-mutating structural checks relevant to the distance models."""
-    n = ds.n_instances
-    n_unique = np.unique(ds.features, axis=0).shape[0]
-    zero_rows = int((ds.labels.sum(axis=1) == 0).sum())
-    const = int((ds.features.min(axis=0) == ds.features.max(axis=0)).sum())
-    return Diagnostics(
-        duplicate_feature_rows=n - n_unique,
-        all_zero_label_rows=zero_rows,
-        constant_features=const,
     )

@@ -33,6 +33,11 @@ def pairwise_distances(A, B) -> np.ndarray:
         raise ValueError(
             f"column mismatch: A has {A.shape[1]} columns, B has {B.shape[1]}"
         )
+    return _euclidean(A, B)
+
+
+def _euclidean(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """pairwise_distances of float64 matrices that the caller has checked."""
     # cdist sums squared differences directly (no a^2+b^2-2ab shortcut),
     # so entries are exact to rounding and never negative under the sqrt.
     return cdist(A, B, metric="euclidean")
@@ -49,7 +54,6 @@ class RegularizedGram:
         Dx = _as_matrix(Dx, "Dx")
         if alpha < 0:
             raise ValueError("alpha must be non-negative")
-        self.alpha = float(alpha)
         U = Dx.T @ Dx
         if alpha > 0:
             U[np.diag_indices_from(U)] += alpha
@@ -83,7 +87,7 @@ def fit_ridge(Dx, Dy, alpha: float) -> tuple[RegularizedGram | None, np.ndarray]
     except SingularSystemError:
         if alpha > 0:
             raise
-        B, _, rank, _ = np.linalg.lstsq(Dx, Dy, rcond=None)
+        B = np.linalg.lstsq(Dx, Dy, rcond=None)[0]
         if not np.all(np.isfinite(B)):
             raise SingularSystemError("least-squares fallback failed")
         return None, B

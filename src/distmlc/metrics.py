@@ -1,4 +1,4 @@
-"""Multi-label evaluation metrics and label-set statistics.
+"""Multi-label evaluation metrics.
 
 Bipartition metrics take binary prediction/truth matrices; ranking
 metrics take real-valued score matrices. Instances whose relevant or
@@ -43,14 +43,6 @@ class EvalReport:
             w = csv.writer(fh)
             w.writerow(self.field_names())
             w.writerow([repr(getattr(self, n)) for n in self.field_names()])
-
-
-@dataclass(frozen=True)
-class LabelStats:
-    card: float
-    dens: float
-    unique_count: int
-    novel_count: int
 
 
 def _binary(a, name="labels") -> np.ndarray:
@@ -199,20 +191,6 @@ def average_precision(scores, truth) -> float:
             acc += above_rel / above_all
         total += acc / rel.size
     return total / Z.shape[0]
-
-
-def label_stats(Y_train, Y_test) -> LabelStats:
-    """Cardinality/density over the train+test union plus label-vector counts."""
-    Y_train = _binary(Y_train, "Y_train")
-    Y_test = _binary(Y_test, "Y_test")
-    union = np.vstack([Y_train, Y_test])
-    uniq = np.unique(union, axis=0).shape[0]
-    train_set = {row.tobytes() for row in np.ascontiguousarray(Y_train)}
-    test_rows = {row.tobytes() for row in np.ascontiguousarray(Y_test)}
-    novel = len(test_rows - train_set)
-    return LabelStats(
-        card=card(union), dens=dens(union), unique_count=uniq, novel_count=novel
-    )
 
 
 def evaluate(pred, scores, truth) -> EvalReport:

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import SingularSystemError, fit_ridge, pairwise_distances
+from .linalg import SingularSystemError, _euclidean, fit_ridge, pairwise_distances
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -32,7 +32,8 @@ UNCERTAINTY_HIGH = "high"
 class DistanceModel:
     """Trained distance-regression model.
 
-    references: K x M unique training inputs, in first-seen order.
+    references: K x M unique training inputs, in first-seen order; they
+        must be finite, so that queries need only their own rows checked.
     coefficients: K x U map from input-distance profiles to label-space
         distance estimates against the U unique training label vectors.
     train_labels: U x L binary matrix of the unique training label
@@ -49,6 +50,8 @@ class DistanceModel:
     label_names: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.references)):
+            raise ValueError("references contain non-finite values")
         if self.coefficients.shape[0] != self.references.shape[0]:
             raise ValueError("coefficient rows must equal reference count")
         if self.coefficients.shape[1] != self.train_labels.shape[0]:
@@ -150,9 +153,7 @@ def fit(X, Y, alpha_mode="auto", label_names=()):
         # the references are rows of X, so Dx already holds their distances
         alpha = auto_alpha(Dx[ref_idx])
     else:
-        alpha = float(alpha_mode)
-        if alpha < 0:
-            raise ValueError("alpha must be non-negative")
+        alpha = float(alpha_mode)  # fit_ridge refuses a negative alpha
     label_idx, counts = first_seen(Y)
     labels = Y[label_idx]
     Dy = pairwise_distances(Y, labels)
@@ -190,22 +191,34 @@ def train_br(X, Y, alpha_mode="auto", label_names=()) -> BrMlmModel:
     return BrMlmModel(base=base, label_coefficients=maps)
 
 
-def _queries(x) -> tuple[np.ndarray, bool]:
-    """x as a Q x M query matrix, and whether it was a single row."""
+def _distances(model: DistanceModel, x) -> tuple[np.ndarray, bool]:
+    """Q x K distances from the queries x (M values, or a Q x M matrix) to the
+    model's references, and whether x was one row. Only x is checked here:
+    the references were checked when the model was built."""
     x = np.asarray(x, dtype=np.float64)
-    return np.atleast_2d(x), x.ndim == 1
+    X = np.atleast_2d(x)
+    if X.ndim != 2:
+        raise ValueError(f"query must be one row or a matrix, got shape {x.shape}")
+    if X.shape[1] != model.n_features:
+        raise ValueError(
+            f"query has {X.shape[1]} features, model expects {model.n_features}"
+        )
+    if not np.all(np.isfinite(X)):
+        raise ValueError("query contains non-finite entries")
+    return _euclidean(X, model.references), x.ndim == 1
 
 
 def predict_deltas(model: DistanceModel, x) -> np.ndarray:
     """Raw (unclamped) predicted distances to the U unique label vectors: U
     for one query of M values, Q x U for a Q x M matrix of queries."""
-    X, one_row = _queries(x)
-    if X.shape[1] != model.n_features:
-        raise ValueError(
-            f"query has {X.shape[1]} features, model expects {model.n_features}"
-        )
-    deltas = _rowwise_product(pairwise_distances(X, model.references), model.coefficients)
+    d, one_row = _distances(model, x)
+    deltas = _rowwise_product(d, model.coefficients)
     return deltas[0] if one_row else deltas
+
+
+def _deltas(model: DistanceModel, x) -> tuple[np.ndarray, bool]:
+    """predict_deltas(model, x) as a Q x U matrix, and whether x was one row."""
+    return np.atleast_2d(predict_deltas(model, x)), np.ndim(x) == 1
 
 
 def _rowwise_product(d: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
@@ -298,24 +311,21 @@ def nn_mlm_predict(model: DistanceModel, x) -> Prediction:
 
     Ties at the minimum go to the first seen in training.
     """
-    X, one_row = _queries(x)
-    deltas = predict_deltas(model, X)
+    deltas, one_row = _deltas(model, x)
     rows = model.train_labels[np.argmin(clamp_deltas(deltas), axis=1)]
     return _finish(rows, rows, deltas, one_row)
 
 
 def ml_mlm_predict(tuned, x) -> Prediction:
     """IDW-scored prediction with the tuned power and global threshold."""
-    X, one_row = _queries(x)
-    deltas = predict_deltas(tuned.model, X)
+    deltas, one_row = _deltas(tuned.model, x)
     scores = idw_ratio(log_distances(deltas), tuned.model.label_weights, tuned.power)
     return _finish(scores, scores > tuned.threshold, deltas, one_row)
 
 
 def ml_mlm_predict_rcut(tuned, x) -> Prediction:
     """IDW-scored prediction thresholded by the nearest-reference cardinality."""
-    X, one_row = _queries(x)
-    deltas = predict_deltas(tuned.model, X)
+    deltas, one_row = _deltas(tuned.model, x)
     scores = idw_ratio(log_distances(deltas), tuned.model.label_weights, tuned.power)
     return _finish_rank_cut(scores, tuned.model, deltas, one_row)
 
@@ -354,8 +364,7 @@ def lls_mlm_predict(model: DistanceModel, x) -> Prediction:
     The cut size is the cardinality of the nearest-reference prediction
     from the same distance model.
     """
-    X, one_row = _queries(x)
-    deltas = predict_deltas(model, X)
+    deltas, one_row = _deltas(model, x)
     return _finish_rank_cut(lls_scores(model, deltas), model, deltas, one_row)
 
 
@@ -401,9 +410,8 @@ def br_mlm_predict(model: BrMlmModel, x) -> Prediction:
     Each label's cubic has two target rows, 0 and 1, weighted by how many
     training rows carry that value of the label.
     """
-    X, one_row = _queries(x)
     base = model.base
-    d = pairwise_distances(X, base.references)
+    d, one_row = _distances(base, x)
     # each label's predicted distances to its 0- and 1-valued training rows,
     # 2 x Q x L, viewed as Q x 2 x L
     delta_cols = (d @ model.label_coefficients).transpose(1, 0, 2)

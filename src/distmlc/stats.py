@@ -62,13 +62,6 @@ class ResultTable:
             direction=direction,
         )
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["dataset", *self.methods])
-            for name, row in zip(self.datasets, self.values):
-                w.writerow([name, *[repr(float(v)) for v in row]])
-
 
 def average_ranks(table: ResultTable) -> np.ndarray:
     """Per-dataset midranks (1 = best in the table's direction), averaged."""

@@ -93,6 +93,15 @@ def export_csv(ds, features_path, labels_path) -> None:
                 w.writerow([repr(float(v)) for v in row])
 
 
+def write_result_table(table, path) -> None:
+    """Write a stats.ResultTable in the CSV layout ResultTable.from_csv reads."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["dataset", *table.methods])
+        for name, row in zip(table.datasets, table.values):
+            w.writerow([name, *[repr(float(v)) for v in row]])
+
+
 def significantly_different(diagram: dict, a: str, b: str) -> bool:
     """True when methods a and b share no group in the diagram data."""
     ia = diagram["methods"].index(a)

@@ -117,6 +117,34 @@ class TestTrainPredictEvaluate:
         assert "predict --threshold local-rcut" in capsys.readouterr().err
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("method", ["nn-mlm", "lls-mlm", "br-mlm"])
+    def test_predict_threshold_is_usage_error_without_ml_mlm(
+            self, tmp_path, toy_specs, capsys, method):
+        # only ml-mlm labels by a threshold; the others would ignore it
+        train, test = toy_specs
+        model_path = tmp_path / "m.dmlm"
+        cli.main(["train", train, "--method", method, "--alpha", "0.1",
+                  "--out", str(model_path)])
+        preds = tmp_path / "p.jsonl"
+        assert cli.main([
+            "predict", str(model_path), test, "--threshold", "0.5", "--out", str(preds),
+        ]) == 1
+        assert method in capsys.readouterr().err
+        assert not preds.exists()
+
+    def test_evaluate_has_no_scale_option(self, tmp_path, toy_specs):
+        # evaluate reads only the truth labels, which scaling never touches
+        train, test = toy_specs
+        model_path = tmp_path / "m.dmlm"
+        preds = tmp_path / "p.jsonl"
+        cli.main(["train", train, "--alpha", "0.1", "--out", str(model_path)])
+        cli.main(["predict", str(model_path), test, "--out", str(preds)])
+        report = tmp_path / "r.json"
+        assert cli.main([
+            "evaluate", str(preds), test, "--scale", "minmax", "--out", str(report),
+        ]) == 1
+        assert not report.exists()
+
     def test_empty_input_yields_empty_output(self, tmp_path, toy_specs):
         train, _ = toy_specs
         model_path = tmp_path / "m.dmlm"

@@ -62,7 +62,6 @@ class TestParseArff:
         assert ds.labels.shape == (3, 2)
         assert ds.feature_names == ("feat1", "feat2")
         assert ds.label_names == ("labelA", "labelB")
-        assert ds.source_format == "arff_dense"
         np.testing.assert_array_equal(ds.labels[2], [1.0, 1.0])
 
     def test_dense_with_labels_last(self, dense_file):
@@ -77,7 +76,6 @@ class TestParseArff:
         p = tmp_path / "sp.arff"
         p.write_text(SPARSE_ARFF)
         ds = dataio.parse_arff(p, labels_last=1)
-        assert ds.source_format == "arff_sparse"
         np.testing.assert_array_equal(ds.features[0], [1.0, 0.0, 0.0])
         np.testing.assert_array_equal(ds.labels[:, 0], [1.0, 0.0, 0.0])
         np.testing.assert_array_equal(ds.features[2], [0.0, 2.5, -1.0])
@@ -122,7 +120,6 @@ class TestParseCsv:
         ds = dataio.parse_csv(f, l)
         assert ds.features.shape == (2, 2)
         assert ds.labels.shape == (2, 1)
-        assert ds.source_format == "csv"
 
     def test_mismatched_rows(self, tmp_path):
         f = tmp_path / "f.csv"
@@ -144,7 +141,6 @@ class TestParseCsv:
         ds = dataio.Dataset(
             name="rt", features=X, labels=Y,
             feature_names=("a", "b", "c"), label_names=("u", "v"),
-            source_format="csv",
         )
         f = tmp_path / "f.csv"
         l = tmp_path / "l.csv"
@@ -155,31 +151,6 @@ class TestParseCsv:
         assert back.feature_names == ds.feature_names
 
 
-class TestValidate:
-    def test_duplicate_rows_counted(self):
-        ds = dataio.Dataset(
-            name="d",
-            features=np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]]),
-            labels=np.array([[1.0], [0.0], [1.0]]),
-            feature_names=("a", "b"), label_names=("y",),
-            source_format="csv",
-        )
-        diag = dataio.validate(ds)
-        assert diag.duplicate_feature_rows == 1
-        assert diag.all_zero_label_rows == 1
-        assert diag.constant_features == 0
-
-    def test_clean_fixture(self):
-        ds = dataio.Dataset(
-            name="c",
-            features=np.array([[1.0, 0.0], [2.0, 1.0]]),
-            labels=np.array([[1.0], [1.0]]),
-            feature_names=("a", "b"), label_names=("y",),
-            source_format="csv",
-        )
-        assert dataio.validate(ds).is_clean()
-
-
 class TestScaling:
     def test_min_max(self):
         ds = dataio.Dataset(
@@ -187,18 +158,7 @@ class TestScaling:
             features=np.array([[0.0, 5.0], [10.0, 5.0]]),
             labels=np.array([[1.0], [0.0]]),
             feature_names=("a", "b"), label_names=("y",),
-            source_format="csv",
         )
         scaled = dataio.min_max_scale(ds)
         np.testing.assert_array_equal(scaled.features[:, 0], [0.0, 1.0])
         np.testing.assert_array_equal(scaled.features[:, 1], [0.0, 0.0])
-
-
-class TestSplitPair:
-    def test_schema_mismatch_rejected(self):
-        mk = lambda names: dataio.Dataset(
-            name="x", features=np.ones((2, 1)), labels=np.eye(2)[:, :1],
-            feature_names=("a",), label_names=names, source_format="csv",
-        )
-        with pytest.raises(dataio.DataFormatError):
-            dataio.SplitPair(train=mk(("y",)), test=mk(("z",)))

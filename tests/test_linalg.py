@@ -41,6 +41,14 @@ class TestPairwiseDistances:
         with pytest.raises(ValueError):
             pairwise_distances(np.zeros((2, 3)), np.zeros((2, 4)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected_in_either_argument(self, bad):
+        A = np.zeros((2, 3))
+        A[1, 2] = bad
+        for args in ((A, np.zeros((2, 3))), (np.zeros((2, 3)), A)):
+            with pytest.raises(ValueError, match="non-finite"):
+                pairwise_distances(*args)
+
     def test_deterministic(self):
         rng = np.random.default_rng(9)
         A = rng.normal(size=(20, 6))

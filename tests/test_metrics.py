@@ -245,22 +245,6 @@ class TestOracleSuite:
                 assert abs(fn(arg, truth) - oracle(arg, truth)) < 1e-12
 
 
-class TestLabelStats:
-    def test_identical_sets_no_novel(self):
-        Y = np.array([[1.0, 0.0], [0.0, 1.0]])
-        st = metrics.label_stats(Y, Y)
-        assert st.novel_count == 0
-        assert st.unique_count == 2
-
-    def test_novel_counting(self):
-        tr = np.array([[1.0, 0.0], [0.0, 1.0]])
-        te = np.array([[1.0, 1.0], [0.0, 1.0]])
-        st = metrics.label_stats(tr, te)
-        assert st.novel_count == 1
-        assert st.unique_count == 3
-        assert st.dens == st.card / 2
-
-
 class TestEvalReport:
     def test_serialization_round_trip(self, tmp_path):
         rng = np.random.default_rng(64)

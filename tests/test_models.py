@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +90,11 @@ class TestTrain:
         with pytest.raises(ValueError):
             models.train(np.zeros((3, 2)), np.ones((3, 2)), alpha_mode=0.1)
 
+    def test_rejects_negative_alpha(self):
+        X, Y = random_problem(np.random.default_rng(25), n=8, m=3, l=2)
+        with pytest.raises(ValueError, match="alpha must be non-negative"):
+            models.train(X, Y, alpha_mode=-0.1)
+
 
 class TestAutoAlpha:
     def test_two_points(self):
@@ -124,6 +131,54 @@ class TestPredictDeltas:
         model = models.train(X, Y, alpha_mode=0.1)
         with pytest.raises(ValueError):
             models.predict_deltas(model, np.zeros(5))
+
+
+class TestQueryContract:
+    """A model's references are checked once, when it is built; each query
+    then checks only its own rows, in the step that predict_deltas and every
+    decoder share."""
+
+    CALLS = {
+        "deltas": lambda tuned, br, x: models.predict_deltas(tuned.model, x),
+        "ml": lambda tuned, br, x: models.ml_mlm_predict(tuned, x),
+        "ml-rcut": lambda tuned, br, x: models.ml_mlm_predict_rcut(tuned, x),
+        "nn": lambda tuned, br, x: models.nn_mlm_predict(tuned.model, x),
+        "lls": lambda tuned, br, x: models.lls_mlm_predict(tuned.model, x),
+        "br": lambda tuned, br, x: models.br_mlm_predict(br, x),
+    }
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        X, Y = random_problem(np.random.default_rng(24), n=12, m=3, l=3)
+        tuned = TunedMlMlm(model=models.train(X, Y, alpha_mode=0.1),
+                           power=2.0, threshold=0.5, lrl_curve=())
+        return tuned, models.train_br(X, Y, alpha_mode=0.1), X
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("call", CALLS)
+    def test_non_finite_query_refused(self, fitted, call, bad):
+        tuned, br, X = fitted
+        self.CALLS[call](tuned, br, X[:4])
+        for x in (X[0].copy(), X[:4].copy()):  # one row, then a matrix
+            x.flat[-1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                self.CALLS[call](tuned, br, x)
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_wrong_shape_refused(self, fitted, call):
+        tuned, br, _ = fitted
+        with pytest.raises(ValueError, match="query has 5 features, model expects 3"):
+            self.CALLS[call](tuned, br, np.zeros(5))
+        with pytest.raises(ValueError, match="one row or a matrix"):
+            self.CALLS[call](tuned, br, np.zeros((2, 2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_reference_refused(self, fitted, bad):
+        model = fitted[0].model
+        references = model.references.copy()
+        references[1, 0] = bad
+        with pytest.raises(ValueError, match="references contain non-finite"):
+            replace(model, references=references)
 
 
 class TestIdwScores:

@@ -11,7 +11,7 @@ from scipy.stats import chi2, studentized_range
 import distmlc
 from distmlc import stats
 
-from conftest import significantly_different
+from conftest import significantly_different, write_result_table
 
 
 def make_table(values, direction=stats.LOWER_BETTER):
@@ -30,7 +30,7 @@ class TestResultTable:
         rng = np.random.default_rng(81)
         t = make_table(rng.random((4, 3)))
         p = tmp_path / "t.csv"
-        t.write_csv(p)
+        write_result_table(t, p)
         back = stats.ResultTable.from_csv(p, stats.LOWER_BETTER)
         assert back.methods == t.methods
         assert back.datasets == t.datasets
