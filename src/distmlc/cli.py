@@ -4,10 +4,14 @@ Subcommands: train, predict, evaluate, benchmark, stats, distbox.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
 All data outputs are byte-deterministic for identical inputs and flags.
 
-Dataset specs accepted anywhere a dataset argument appears:
+Dataset specs for train, evaluate and benchmark:
   features.csv;labels.csv        CSV pair with header rows
   data.arff@labels.xml           ARFF with a Mulan XML label manifest
-  data.arff                      ARFF with --labels-xml or --labels-last
+  data.arff                      ARFF with --labels-last L
+
+predict and distbox read the features file of a CSV pair, or every ARFF
+attribute that is not one of the model's labels (an @labels.xml suffix is
+ignored), and apply the min-max scaler that train --scale stored in the model.
 """
 from __future__ import annotations
 
@@ -40,39 +44,47 @@ class UsageError(Exception):
     pass
 
 
-def load_dataset(spec, labels_xml=None, labels_last=None, scale="off", name=None):
+def load_dataset(spec, labels_last=None, name=None):
     if ";" in spec:
         feat, lab = spec.split(";", 1)
-        ds = dataio.parse_csv(feat, lab, name=name)
+        return dataio.parse_csv(feat, lab, name=name)
+    arff_path, xml_path = spec.rsplit("@", 1) if "@" in spec else (spec, None)
+    if xml_path is None and labels_last is None:
+        raise UsageError(
+            f"dataset {spec!r} needs a label manifest (@file.xml) or --labels-last")
+    return dataio.parse_arff(
+        arff_path, label_manifest=xml_path, labels_last=labels_last, name=name)
+
+
+def apply_scale(X, scale):
+    """X under a min-max scaler from data.min_max_bounds; None leaves X as it is."""
+    return X if scale is None else (X - np.asarray(scale["min"])) / np.asarray(scale["span"])
+
+
+def load_features(spec, manifest):
+    """The feature columns of a predict input, under the model's scaler."""
+    if ";" in spec:
+        _, X = dataio.read_csv_matrix(spec.split(";", 1)[0])
     else:
-        if "@" in spec:
-            arff_path, xml_path = spec.rsplit("@", 1)
-        else:
-            arff_path, xml_path = spec, labels_xml
-        if xml_path is None and labels_last is None:
-            raise UsageError(
-                f"dataset {spec!r} needs a label manifest (@file.xml or "
-                "--labels-xml) or --labels-last"
-            )
-        ds = dataio.parse_arff(
-            arff_path, label_manifest=xml_path, labels_last=labels_last, name=name
-        )
-    if scale == "minmax":
-        ds = dataio.min_max_scale(ds)
-    return ds
+        names, values = dataio.read_arff(spec.rsplit("@", 1)[0])
+        labels = set(manifest["label_names"])
+        X = values[:, [i for i, name in enumerate(names) if name not in labels]]
+    return apply_scale(X, manifest["scale"])
 
 
-def fit_method(method, ds, alpha="auto", power="tuned", threshold="cardinality"):
+def fit_method(method, ds, alpha="auto", power=None, threshold=None):
     """Train one model of the requested kind on a Dataset; alpha, power and
-    threshold are given as on the train command line."""
+    threshold are given as on the train command line (None: the ml-mlm default)."""
     X, Y, names = ds.features, ds.labels, ds.label_names
     alpha = alpha if alpha == "auto" else float(alpha)
-    power = power if power == "tuned" else float(power)
+    if method != "ml-mlm" and (power, threshold) != (None, None):
+        raise UsageError(f"--power and --threshold apply to ml-mlm only, not to {method}")
     if threshold == "local-rcut":
         raise UsageError("local rank-cut is chosen when decoding: train with "
                          "cardinality or a float, then predict --threshold local-rcut")
     if method == "ml-mlm":
-        tmode = threshold if threshold == "cardinality" else float(threshold)
+        power = "tuned" if power in (None, "tuned") else float(power)
+        tmode = "cardinality" if threshold in (None, "cardinality") else float(threshold)
         return tuning.tune_ml_mlm(
             X, Y, alpha_mode=alpha, power_mode=power,
             threshold_mode=tmode, label_names=names,
@@ -99,8 +111,8 @@ def _base_model(model) -> models.DistanceModel:
     return model
 
 
-def predict_dataset(method, model, ds, threshold=None) -> models.Prediction:
-    """Batch predictions (Q-row arrays) for every row of ds, in row chunks."""
+def predict_dataset(method, model, X, threshold=None) -> models.Prediction:
+    """Batch predictions (Q-row arrays) for every row of X, in row chunks."""
     decode = {
         "ml-mlm": models.ml_mlm_predict,
         "nn-mlm": models.nn_mlm_predict,
@@ -118,7 +130,6 @@ def predict_dataset(method, model, ds, threshold=None) -> models.Prediction:
     base = _base_model(model)
     K, U = base.coefficients.shape
     step = max(1, PREDICT_CHUNK_BYTES // (8 * (K + U)))
-    X = ds.features
     parts = [decode(model, X[i:i + step]) for i in range(0, X.shape[0], step)]
     return models.Prediction(*(np.concatenate([getattr(p, name) for p in parts])
                                for name in PREDICTION_FIELDS))
@@ -151,14 +162,13 @@ def read_predictions(path):
 # ---------------------------------------------------------------- commands
 
 def cmd_train(args) -> int:
-    ds = load_dataset(
-        args.data, labels_xml=args.labels_xml, labels_last=args.labels_last,
-        scale=args.scale,
-    )
+    ds = load_dataset(args.data, labels_last=args.labels_last)
+    scale = dataio.min_max_bounds(ds.features) if args.scale == "minmax" else None
     model = fit_method(
-        args.method, ds, alpha=args.alpha, power=args.power, threshold=args.threshold,
+        args.method, replace(ds, features=apply_scale(ds.features, scale)),
+        alpha=args.alpha, power=args.power, threshold=args.threshold,
     )
-    save_model(args.out, model, args.method)
+    save_model(args.out, model, args.method, scale)
     if args.curve_out and args.method == "ml-mlm" and model.lrl_curve:
         tuning.lrl_curve_csv(model.lrl_curve, args.curve_out)
     return EXIT_OK
@@ -166,34 +176,26 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model, manifest = load_model(args.model)
-    ds = None
-    if args.data:
-        try:
-            ds = load_dataset(
-                args.data, labels_xml=args.labels_xml,
-                labels_last=args.labels_last, scale=args.scale,
-            )
-        except dataio.DataFormatError as exc:
-            # an input file with no data rows is a valid empty prediction job
-            if "no data rows" not in str(exc):
-                raise
-    preds = predict_dataset(manifest["method"], model, ds, args.threshold) if ds else None
+    try:
+        X = load_features(args.data, manifest)
+    except dataio.DataFormatError as exc:
+        # an input file with no data rows is a valid empty prediction job
+        if "no data rows" not in str(exc):
+            raise
+        X = None
+    preds = None if X is None else predict_dataset(
+        manifest["method"], model, X, args.threshold)
     write_predictions(preds, args.out)
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
     scores, labels = read_predictions(args.predictions)
-    truth = load_dataset(
-        args.truth, labels_xml=args.labels_xml, labels_last=args.labels_last
-    )
+    truth = load_dataset(args.truth, labels_last=args.labels_last)
     report = metricsmod.evaluate(labels, scores, truth.labels)
-    if args.format == "csv":
-        report.write_csv(args.out)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(report.to_json())
+        fh.write("\n")
     return EXIT_OK
 
 
@@ -216,19 +218,17 @@ def cmd_benchmark(args) -> int:
     names, rows = [], []
     for entry in args.dataset:
         name, train_spec, test_spec = _parse_dataset_arg(entry)
-        train_ds = load_dataset(
-            train_spec, labels_xml=args.labels_xml,
-            labels_last=args.labels_last, scale=args.scale, name=name,
-        )
-        test_ds = load_dataset(
-            test_spec, labels_xml=args.labels_xml,
-            labels_last=args.labels_last, scale=args.scale, name=name,
-        )
+        train_ds = load_dataset(train_spec, labels_last=args.labels_last, name=name)
+        test_ds = load_dataset(test_spec, labels_last=args.labels_last, name=name)
+        # test rows are scaled by the training bounds, as train and predict do
+        scale = dataio.min_max_bounds(train_ds.features) if args.scale == "minmax" else None
+        train_ds = replace(train_ds, features=apply_scale(train_ds.features, scale))
+        test_X = apply_scale(test_ds.features, scale)
         names.append(name)
         per_method = {}
         for method in methods:
             model = fit_method(method, train_ds)
-            preds = predict_dataset(method, model, test_ds)
+            preds = predict_dataset(method, model, test_X)
             report = metricsmod.evaluate(
                 preds.labels.astype(np.float64), preds.scores, test_ds.labels
             )
@@ -266,18 +266,14 @@ def cmd_stats(args) -> int:
         stats.LOWER_BETTER if args.direction == "lower" else stats.HIGHER_BETTER
     )
     table = stats.ResultTable.from_csv(args.table, direction)
-    diagram = stats.cd_diagram_data(table, alpha=args.alpha)
+    diagram = stats.cd_diagram_data(table)
     stats.write_diagram_json(diagram, args.out)
     return EXIT_OK
 
 
 def cmd_distbox(args) -> int:
     model, manifest = load_model(args.model)
-    ds = load_dataset(
-        args.data, labels_xml=args.labels_xml, labels_last=args.labels_last,
-        scale=args.scale,
-    )
-    deltas = models.predict_deltas(_base_model(model), ds.features)
+    deltas = models.predict_deltas(_base_model(model), load_features(args.data, manifest))
     mins = models.clamp_deltas(deltas).min(axis=1)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -289,15 +285,15 @@ def cmd_distbox(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def _add_label_flags(p):
-    p.add_argument("--labels-xml", default=None, help="Mulan XML label manifest")
+def _add_labels_last(p):
     p.add_argument("--labels-last", type=int, default=None,
-                   help="treat the last L attributes as labels")
+                   help="treat the last L attributes of an ARFF as labels")
 
 
 def _add_data_flags(p):
-    _add_label_flags(p)
-    p.add_argument("--scale", choices=("off", "minmax"), default="off")
+    _add_labels_last(p)
+    p.add_argument("--scale", choices=("off", "minmax"), default="off",
+                   help="min-max scale features by the training bounds")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,9 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data", help="training dataset spec")
     p.add_argument("--method", choices=METHODS, default="ml-mlm")
     p.add_argument("--alpha", default="auto", help="auto or a fixed float")
-    p.add_argument("--power", default="tuned", help="tuned or a fixed float")
-    p.add_argument("--threshold", default="cardinality",
-                   help="cardinality or a fixed float")
+    p.add_argument("--power", default=None,
+                   help="ml-mlm only: tuned (the default) or a fixed float")
+    p.add_argument("--threshold", default=None,
+                   help="ml-mlm only: cardinality (the default) or a fixed float")
     p.add_argument("--out", required=True)
     p.add_argument("--curve-out", default=None,
                    help="also write the power-search curve as CSV")
@@ -322,19 +319,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="predict a dataset with a model file")
     p.add_argument("model")
-    p.add_argument("data", nargs="?", default=None)
+    p.add_argument("data")
     p.add_argument("--threshold", default=None,
                    help="ml-mlm only: cardinality, local-rcut, or a fixed float")
     p.add_argument("--out", required=True)
-    _add_data_flags(p)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="score predictions against ground truth")
     p.add_argument("predictions", help="JSON-lines predictions file")
     p.add_argument("truth", help="ground-truth dataset spec")
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_label_flags(p)
+    _add_labels_last(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("benchmark", help="train/predict/evaluate over datasets")
@@ -348,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="Friedman/Nemenyi analysis of a result table")
     p.add_argument("table", help="CSV: first column dataset names, header methods")
     p.add_argument("--direction", choices=("lower", "higher"), required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_stats)
 
@@ -356,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("data")
     p.add_argument("--out", required=True)
-    _add_data_flags(p)
     p.set_defaults(func=cmd_distbox)
 
     return parser

@@ -1,5 +1,5 @@
 """Dataset ingestion: Mulan-style ARFF (dense and sparse) with an XML
-label manifest, plus a CSV pair fallback and min-max feature scaling.
+label manifest, plus a CSV pair fallback and min-max scaling bounds.
 """
 from __future__ import annotations
 
@@ -91,19 +91,9 @@ def _parse_value(tok: str, lineno: int) -> float:
     return v
 
 
-def parse_arff(
-    path,
-    label_manifest=None,
-    labels_last: int | None = None,
-    name: str | None = None,
-) -> Dataset:
-    """Load a Mulan-style ARFF file.
-
-    Label attributes are identified either by the XML manifest
-    (label_manifest) or as the trailing labels_last attributes. Row order
-    is preserved exactly as in the file.
-    """
-    path = Path(path)
+def read_arff(path) -> tuple[list[str], np.ndarray]:
+    """Every attribute name of an ARFF file and its N x attributes value
+    matrix, rows in file order."""
     attr_names: list[str] = []
     rows: list[np.ndarray] = []
     n_attrs = 0
@@ -154,8 +144,22 @@ def parse_arff(
             rows.append(row)
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
-    values = np.vstack(rows)
+    return attr_names, np.vstack(rows)
 
+
+def parse_arff(
+    path,
+    label_manifest=None,
+    labels_last: int | None = None,
+    name: str | None = None,
+) -> Dataset:
+    """Load a Mulan-style ARFF file.
+
+    Label attributes are identified either by the XML manifest
+    (label_manifest) or as the trailing labels_last attributes. Row order
+    is preserved exactly as in the file.
+    """
+    attr_names, values = read_arff(path)
     if label_manifest is not None:
         label_names = read_label_manifest(label_manifest)
         missing = [n for n in label_names if n not in attr_names]
@@ -175,7 +179,7 @@ def parse_arff(
     label_set = set(label_idx)
     feat_idx = [i for i in range(len(attr_names)) if i not in label_set]
     return Dataset(
-        name=name or path.stem,
+        name=name or Path(path).stem,
         features=values[:, feat_idx],
         labels=values[:, label_idx],
         feature_names=tuple(attr_names[i] for i in feat_idx),
@@ -183,7 +187,8 @@ def parse_arff(
     )
 
 
-def _read_csv_matrix(path) -> tuple[tuple[str, ...], np.ndarray]:
+def read_csv_matrix(path) -> tuple[tuple[str, ...], np.ndarray]:
+    """The header row and the value matrix of one CSV file."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -204,8 +209,8 @@ def _read_csv_matrix(path) -> tuple[tuple[str, ...], np.ndarray]:
 
 def parse_csv(features_path, labels_path, name: str | None = None) -> Dataset:
     """Load a (features.csv, labels.csv) pair; both need a header row."""
-    feat_names, X = _read_csv_matrix(features_path)
-    label_names, Y = _read_csv_matrix(labels_path)
+    feat_names, X = read_csv_matrix(features_path)
+    label_names, Y = read_csv_matrix(labels_path)
     if X.shape[0] != Y.shape[0]:
         raise DataFormatError(
             f"row count mismatch: {X.shape[0]} feature rows vs {Y.shape[0]} label rows"
@@ -219,16 +224,9 @@ def parse_csv(features_path, labels_path, name: str | None = None) -> Dataset:
     )
 
 
-def min_max_scale(ds: Dataset) -> Dataset:
-    """Scale each feature column to [0, 1]; constant columns map to 0."""
-    X = ds.features
+def min_max_bounds(X: np.ndarray) -> dict:
+    """Each feature column's minimum and span, as JSON-ready lists: X maps to
+    [0, 1] as (X - min) / span. A constant column gets span 1, so it maps to 0."""
     lo = X.min(axis=0)
     span = X.max(axis=0) - lo
-    span = np.where(span > 0, span, 1.0)
-    return Dataset(
-        name=ds.name,
-        features=(X - lo) / span,
-        labels=ds.labels,
-        feature_names=ds.feature_names,
-        label_names=ds.label_names,
-    )
+    return {"min": lo.tolist(), "span": np.where(span > 0, span, 1.0).tolist()}

@@ -6,7 +6,6 @@ irrelevant label set is empty are excluded from the ranking means.
 """
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, asdict, fields
 
@@ -37,12 +36,6 @@ class EvalReport:
     @classmethod
     def field_names(cls) -> list[str]:
         return [f.name for f in fields(cls)]
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(self.field_names())
-            w.writerow([repr(getattr(self, n)) for n in self.field_names()])
 
 
 def _binary(a, name="labels") -> np.ndarray:

@@ -7,11 +7,14 @@ identical inputs yields byte-identical files, and load(save(m)) gives
 bit-identical predictions. Loaded arrays are read-only views of the
 bytes read from the file, checked for shape and content before use.
 
-Format 3 keeps the U unique training label vectors (train_labels) and
+Format 4 keeps the U unique training label vectors (train_labels) and
 their counts (label_counts); coefficients are K x U and br-mlm's
-label_coefficients 2 x K x L. Files of an earlier format (1 held all N
-label vectors, 2 an L x K x U br-mlm stack) are refused with a request
-to retrain.
+label_coefficients 2 x K x L. The manifest's "scale" holds the training
+scaler, each feature's minimum and span ({"min": [...], "span": [...]}),
+or null when the features were not scaled; predict applies it to every
+input. Files of an earlier format (1 held all N label vectors, 2 an
+L x K x U br-mlm stack, 3 no scaler) are refused with a request to
+retrain.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ import numpy as np
 from .models import BrMlmModel, DistanceModel
 from .tuning import TunedMlMlm
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _EPOCH = (1980, 1, 1, 0, 0, 0)
 
 
@@ -49,8 +52,9 @@ def _write(path, manifest: dict, blobs: dict) -> None:
             zf.writestr(info, blobs[name])
 
 
-def save_model(path, model, method: str) -> None:
-    """Serialize a trained model under its method name."""
+def save_model(path, model, method: str, scale: dict | None = None) -> None:
+    """Serialize a trained model under its method name, with the min-max
+    scaler of its training features (data.min_max_bounds), if any."""
     if isinstance(model, TunedMlMlm):
         base = model.model
         power, threshold = model.power, model.threshold
@@ -78,12 +82,13 @@ def save_model(path, model, method: str) -> None:
         "alpha": base.alpha,
         "dimensions": shapes,
         "label_names": list(base.label_names),
+        "scale": scale,
     }
     _write(path, manifest, blobs)
 
 
-def _check_arrays(arrays: dict, method: str) -> None:
-    """Raise ModelFileError unless the arrays make a consistent model."""
+def _check_arrays(arrays: dict, manifest: dict) -> None:
+    """Raise ModelFileError unless the arrays and the scaler make a consistent model."""
     def fail(what: str):
         raise ModelFileError(f"invalid model file: {what}")
 
@@ -101,9 +106,15 @@ def _check_arrays(arrays: dict, method: str) -> None:
         fail(f"coefficients are {coef.shape}, expected {(K, U)} (K x U)")
     if counts.shape != (U,) or not np.all((counts >= 1.0) & (counts == np.round(counts))):
         fail(f"label_counts must be {U} positive whole numbers")
-    if method == "br-mlm" and arrays["label_coefficients"].shape != (2, K, L):
+    if manifest["method"] == "br-mlm" and arrays["label_coefficients"].shape != (2, K, L):
         fail(f"label_coefficients are {arrays['label_coefficients'].shape}, "
              f"expected {(2, K, L)} (2 x K x L)")
+    scale, M = manifest["scale"], refs.shape[1]
+    if scale is not None:
+        lo, span = (np.asarray(scale[k], dtype=np.float64) for k in ("min", "span"))
+        if not (lo.shape == span.shape == (M,) and np.all(np.isfinite(lo))
+                and np.all(np.isfinite(span) & (span > 0))):
+            fail(f"scale must hold {M} finite minima and {M} finite spans > 0")
 
 
 def load_model(path):
@@ -112,7 +123,7 @@ def load_model(path):
         with zipfile.ZipFile(path, "r") as zf:
             manifest = json.loads(zf.read("manifest.json"))
             version = manifest.get("format_version")
-            if version in (1, 2):
+            if version in (1, 2, 3):
                 raise ModelFileError(
                     f"{path} is a format {version} model file, which this version of "
                     "distmlc no longer reads; retrain the model to write format "
@@ -127,8 +138,10 @@ def load_model(path):
                 if len(raw) != 8 * int(np.prod(shape)):
                     raise ModelFileError(f"blob size mismatch for {name}")
                 arrays[name] = _unblob(raw, shape)
-            _check_arrays(arrays, method)
-    except (KeyError, TypeError, zipfile.BadZipFile, json.JSONDecodeError) as exc:
+            _check_arrays(arrays, manifest)
+    except ModelFileError:
+        raise
+    except (KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
         raise ModelFileError(f"cannot read model file {path}: {exc}") from exc
 
     base = DistanceModel(

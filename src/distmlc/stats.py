@@ -82,10 +82,9 @@ def friedman_test(table: ResultTable, alpha: float = 0.05) -> tuple[float, bool]
     return stat, bool(stat > critical)
 
 
-def nemenyi_cd(k: int, n: int, alpha: float = 0.05) -> float:
-    """Critical difference of average ranks for k methods over n datasets."""
-    if alpha != 0.05:
-        raise ValueError("only alpha = 0.05 critical values are embedded")
+def nemenyi_cd(k: int, n: int) -> float:
+    """Critical difference of average ranks at alpha = 0.05 for k methods over
+    n datasets."""
     if k not in _Q_005:
         raise ValueError(f"k = {k} outside the embedded table range 2..20")
     return _Q_005[k] * math.sqrt(k * (k + 1) / (6.0 * n))
@@ -110,11 +109,12 @@ def _maximal_cliques(order: np.ndarray, ranks: np.ndarray, cd: float) -> list[li
     return keep
 
 
-def cd_diagram_data(table: ResultTable, alpha: float = 0.05) -> dict:
-    """Average ranks, CD value, and non-significant groups, JSON-serializable."""
+def cd_diagram_data(table: ResultTable) -> dict:
+    """Average ranks, CD value, and non-significant groups at alpha = 0.05,
+    JSON-serializable."""
     ranks = average_ranks(table)
-    stat, reject = friedman_test(table, alpha)
-    cd = nemenyi_cd(len(table.methods), len(table.datasets), alpha)
+    stat, reject = friedman_test(table)
+    cd = nemenyi_cd(len(table.methods), len(table.datasets))
     order = np.argsort(ranks, kind="stable")
     cliques = _maximal_cliques(order, ranks, cd)
     singles = [
@@ -122,7 +122,7 @@ def cd_diagram_data(table: ResultTable, alpha: float = 0.05) -> dict:
     ]
     groups = sorted(cliques + singles, key=lambda c: float(ranks[c[0]]))
     return {
-        "alpha": alpha,
+        "alpha": 0.05,
         "friedman_statistic": stat,
         "friedman_reject": reject,
         "critical_difference": cd,

@@ -7,6 +7,7 @@ skip with download instructions when absent.
 """
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,9 +73,10 @@ def tuned_on(name, scale=False):
     key = (name, scale)
     if key not in _TUNED_CACHE:
         train, test = load_split(name)
-        if scale:
-            train = dataio.min_max_scale(train)
-            test = dataio.min_max_scale(test)
+        if scale:  # test rows are scaled by the training bounds
+            b = dataio.min_max_bounds(train.features)
+            train, test = (replace(ds, features=(ds.features - b["min"]) / b["span"])
+                           for ds in (train, test))
         _TUNED_CACHE[key] = (tuning.tune_ml_mlm(train.features, train.labels),
                              train, test)
     return _TUNED_CACHE[key]

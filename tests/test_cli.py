@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,20 @@ def write_csv_pair(tmp_path, X, Y, prefix="d"):
         + "\n".join(",".join(str(int(v)) for v in row) for row in Y) + "\n"
     )
     return f"{f};{l}"
+
+
+def write_arff(path, X, Y):
+    """A dense ARFF with the label attributes y0.. first, then f0..; returns
+    the path and a Mulan XML manifest of the labels beside it."""
+    attrs = [f"@attribute y{j} {{0,1}}" for j in range(Y.shape[1])]
+    attrs += [f"@attribute f{j} numeric" for j in range(X.shape[1])]
+    path.write_text("@relation r\n" + "\n".join(attrs) + "\n@data\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in np.hstack([Y, X])))
+    xml = path.with_suffix(".xml")
+    xml.write_text('<labels xmlns="http://mulan.sourceforge.net/labels">'
+                   + "".join(f'<label name="y{j}"></label>' for j in range(Y.shape[1]))
+                   + "</labels>\n")
+    return path, xml
 
 
 @pytest.fixture
@@ -158,6 +174,119 @@ class TestTrainPredictEvaluate:
             "predict", str(model_path), f"{f};{l}", "--out", str(out),
         ]) == 0
         assert out.read_text() == ""
+
+
+class TestModelDecidesInput:
+    """predict and distbox read the features only, under the training scaler."""
+
+    @pytest.mark.parametrize("method", ["nn-mlm", "lls-mlm", "br-mlm"])
+    @pytest.mark.parametrize("flag", [["--power", "3"], ["--threshold", "0.9"]])
+    def test_train_power_threshold_usage_error_without_ml_mlm(
+            self, tmp_path, toy_specs, capsys, method, flag):
+        train, _ = toy_specs
+        model_path = tmp_path / "m.dmlm"
+        assert cli.main(["train", train, "--method", method, *flag,
+                         "--out", str(model_path)]) == 1
+        assert method in capsys.readouterr().err
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize("method", cli.METHODS)
+    def test_one_row_predicts_as_inside_full_file(self, tmp_path, method):
+        rng = np.random.default_rng(93)
+        Xtr, Ytr = random_problem(rng, n=30, m=3, l=3)
+        Xte, Yte = random_problem(rng, n=6, m=3, l=3)
+        Xtr, Xte = 5.0 * Xtr + 2.0, 5.0 * Xte + 2.0  # off [0, 1]
+        lo, span = Xtr.min(axis=0), Xtr.max(axis=0) - Xtr.min(axis=0)
+
+        def predict(model, X, Y, prefix):
+            out = tmp_path / f"{prefix}.jsonl"
+            spec = write_csv_pair(tmp_path, X, Y, prefix)
+            assert cli.main(["predict", str(model), spec, "--out", str(out)]) == 0
+            return [json.loads(line) for line in out.read_text().splitlines()]
+
+        scaled, prescaled = tmp_path / "scaled.dmlm", tmp_path / "prescaled.dmlm"
+        assert cli.main(["train", write_csv_pair(tmp_path, Xtr, Ytr, "train"),
+                         "--method", method, "--scale", "minmax", "--out", str(scaled)]) == 0
+        # the same model, from features scaled here by the training bounds
+        assert cli.main(["train", write_csv_pair(tmp_path, (Xtr - lo) / span, Ytr, "pre"),
+                         "--method", method, "--out", str(prescaled)]) == 0
+        full = predict(scaled, Xte, Yte, "full")
+        assert full == predict(prescaled, (Xte - lo) / span, Yte, "prefull")
+        for i in range(len(Xte)):
+            (alone,) = predict(scaled, Xte[i:i + 1], Yte[i:i + 1], f"row{i}")
+            # the IDW product's round-off depends on the batch height
+            np.testing.assert_allclose(alone["scores"], full[i]["scores"], rtol=0, atol=1e-12)
+            assert alone["labels"] == full[i]["labels"]
+
+    def test_benchmark_scale_matches_train_predict_evaluate(self, tmp_path, toy_specs):
+        train, test = toy_specs
+        assert cli.main(["benchmark", "--dataset", f"toy,{train},{test}",
+                         "--methods", "ml-mlm,br-mlm", "--scale", "minmax",
+                         "--out-dir", str(tmp_path / "bench")]) == 0
+        for method in ("ml-mlm", "br-mlm"):
+            model, preds, report = (tmp_path / f"{method}.{ext}"
+                                    for ext in ("dmlm", "jsonl", "json"))
+            assert cli.main(["train", train, "--method", method, "--scale", "minmax",
+                             "--out", str(model)]) == 0
+            assert cli.main(["predict", str(model), test, "--out", str(preds)]) == 0
+            assert cli.main(["evaluate", str(preds), test, "--out", str(report)]) == 0
+            assert report.read_bytes() == (
+                tmp_path / "bench" / f"report_toy_{method}.json").read_bytes()
+
+    @pytest.mark.parametrize("command", ["predict", "distbox"])
+    def test_arff_with_without_manifest_or_labels_same_bytes(self, tmp_path, command):
+        rng = np.random.default_rng(94)
+        Xtr, Ytr = random_problem(rng, n=20, m=3, l=3)
+        Xte, Yte = random_problem(rng, n=5, m=3, l=3)
+        arff, xml = write_arff(tmp_path / "train.arff", 4.0 * Xtr, Ytr)
+        model_path = tmp_path / "m.dmlm"
+        assert cli.main(["train", f"{arff}@{xml}", "--scale", "minmax",
+                         "--out", str(model_path)]) == 0
+        test, test_xml = write_arff(tmp_path / "test.arff", 4.0 * Xte, Yte)
+        bare, _ = write_arff(tmp_path / "bare.arff", 4.0 * Xte, Yte[:, :0])  # no labels
+        outs = []
+        for i, spec in enumerate([f"{test}@{test_xml}", str(test), str(bare)]):
+            outs.append(tmp_path / f"out{i}")
+            assert cli.main([command, str(model_path), spec, "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+        assert len(outs[0].read_text().splitlines()) == 5 + (command == "distbox")
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "{train}", "--labels-xml", "x.xml"],
+        ["predict", "{model}", "{test}", "--scale", "off"],
+        ["predict", "{model}", "{test}", "--labels-xml", "x.xml"],
+        ["predict", "{model}", "{test}", "--labels-last", "3"],
+        ["predict", "{model}"],
+        ["distbox", "{model}", "{test}", "--scale", "off"],
+        ["distbox", "{model}", "{test}", "--labels-xml", "x.xml"],
+        ["distbox", "{model}", "{test}", "--labels-last", "3"],
+        ["evaluate", "{preds}", "{test}", "--format", "json"],
+        ["evaluate", "{preds}", "{test}", "--labels-xml", "x.xml"],
+        ["benchmark", "--dataset", "toy,{train},{test}", "--labels-xml", "x.xml"],
+        ["stats", "{table}", "--direction", "lower", "--alpha", "0.05"],
+    ])
+    def test_removed_option_is_usage_error(self, tmp_path, toy_specs, argv):
+        train, test = toy_specs
+        paths = {"model": tmp_path / "m.dmlm", "preds": tmp_path / "p.jsonl",
+                 "table": tmp_path / "t.csv", "train": train, "test": test}
+        cli.main(["train", train, "--alpha", "0.1", "--out", str(paths["model"])])
+        cli.main(["predict", str(paths["model"]), test, "--out", str(paths["preds"])])
+        paths["table"].write_text("dataset,a,b\nd1,0.1,0.2\nd2,0.2,0.3\n")
+        out = tmp_path / "out"
+        flag = "--out-dir" if argv[0] == "benchmark" else "--out"
+        assert cli.main([a.format(**paths) for a in argv] + [flag, str(out)]) == 1
+        assert not out.exists()
+
+
+def test_readme_cli_lines_parse():
+    """Every distmlc line of the README's CLI block is a valid command line."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    assert lines and all(line[0] == "distmlc" for line in lines)
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(line[1:])
 
 
 class TestBenchmark:

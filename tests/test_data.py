@@ -153,12 +153,10 @@ class TestParseCsv:
 
 class TestScaling:
     def test_min_max(self):
-        ds = dataio.Dataset(
-            name="s",
-            features=np.array([[0.0, 5.0], [10.0, 5.0]]),
-            labels=np.array([[1.0], [0.0]]),
-            feature_names=("a", "b"), label_names=("y",),
-        )
-        scaled = dataio.min_max_scale(ds)
-        np.testing.assert_array_equal(scaled.features[:, 0], [0.0, 1.0])
-        np.testing.assert_array_equal(scaled.features[:, 1], [0.0, 0.0])
+        X = np.array([[0.0, 5.0], [10.0, 5.0]])
+        bounds = dataio.min_max_bounds(X)
+        # a constant column gets span 1
+        assert bounds == {"min": [0.0, 5.0], "span": [10.0, 1.0]}
+        scaled = (X - bounds["min"]) / bounds["span"]
+        np.testing.assert_array_equal(scaled[:, 0], [0.0, 1.0])
+        np.testing.assert_array_equal(scaled[:, 1], [0.0, 0.0])

@@ -246,16 +246,12 @@ class TestOracleSuite:
 
 
 class TestEvalReport:
-    def test_serialization_round_trip(self, tmp_path):
+    def test_serialization_round_trip(self):
         rng = np.random.default_rng(64)
         pred, scores, truth = random_eval_instance(rng)
         report = metrics.evaluate(pred, scores, truth)
         rec = json.loads(report.to_json())
         assert set(rec) == set(metrics.EvalReport.field_names())
-        path = tmp_path / "report.csv"
-        report.write_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].split(",")[0] == "hamming_loss"
 
     def test_all_values_finite_and_bounded(self):
         rng = np.random.default_rng(65)

@@ -188,13 +188,25 @@ class TestValidation:
             arrays[blob].flat[3] = np.nan
         self.assert_refused(saved, edit, "non-finite")
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("scale, match", [
+        ({"min": [0.0, 0.0], "span": [1.0, 1.0]}, "scale"),  # M = 3 features
+        ({"min": [0.0, float("nan"), 0.0], "span": [1.0, 1.0, 1.0]}, "scale"),
+        ({"min": [0.0, 0.0, 0.0], "span": [1.0, 0.0, 1.0]}, "scale"),
+        ({"min": ["x", 0.0, 0.0], "span": [1.0, 1.0, 1.0]}, "cannot read"),
+    ])
+    def test_bad_scale(self, saved, scale, match):
+        def edit(manifest, arrays):
+            manifest["scale"] = scale
+        self.assert_refused(saved, edit, match)
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_format_1_asks_to_retrain(self, saved, version):
         def edit(manifest, arrays):
             manifest["format_version"] = version
+            del manifest["scale"]  # stored since format 4
             if version == 1:  # all N label vectors, no label_counts
                 del arrays["label_counts"]
-            else:  # an L x K x U br-mlm stack
+            elif version == 2:  # an L x K x U br-mlm stack
                 (K, U), L = arrays["coefficients"].shape, arrays["train_labels"].shape[1]
                 arrays["label_coefficients"] = np.zeros((L, K, U))
         self.assert_refused(saved, edit, "retrain")

@@ -111,8 +111,6 @@ class TestNemenyiCd:
     def test_unsupported_inputs(self):
         with pytest.raises(ValueError):
             stats.nemenyi_cd(21, 10)
-        with pytest.raises(ValueError):
-            stats.nemenyi_cd(5, 10, alpha=0.01)
 
 
 class TestCdDiagram:
