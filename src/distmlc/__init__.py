@@ -7,7 +7,7 @@ multilateration solve, or per-label closed-form cubics. Hyper-parameters
 are tuned with closed-form leave-one-out machinery; a full multi-label
 metric suite and Friedman/Nemenyi comparison tooling are included.
 """
-from .data import Dataset, parse_arff, parse_csv
+from .data import Dataset, load_dataset
 from .linalg import pairwise_distances
 from .metrics import EvalReport, evaluate
 from .models import (
@@ -56,6 +56,7 @@ __all__ = [
     "friedman_test",
     "idw_scores",
     "lls_mlm_predict",
+    "load_dataset",
     "load_model",
     "local_rcut",
     "loo_deltas",
@@ -63,8 +64,6 @@ __all__ = [
     "nemenyi_cd",
     "nn_mlm_predict",
     "pairwise_distances",
-    "parse_arff",
-    "parse_csv",
     "predict_deltas",
     "save_model",
     "search_power",

@@ -4,14 +4,17 @@ Subcommands: train, predict, evaluate, benchmark, stats, distbox.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
 All data outputs are byte-deterministic for identical inputs and flags.
 
-Dataset specs for train, evaluate and benchmark:
+Dataset specs (data.load_dataset); a single file is read as CSV when its
+name ends in .csv and as ARFF otherwise:
   features.csv;labels.csv        CSV pair with header rows
-  data.arff@labels.xml           ARFF with a Mulan XML label manifest
-  data.arff                      ARFF with --labels-last L
+  data.arff@labels.xml           one file with a Mulan XML label manifest
+  data.arff                      one file with --labels-last L
 
-predict and distbox read the features file of a CSV pair, or every ARFF
-attribute that is not one of the model's labels (an @labels.xml suffix is
-ignored), and apply the min-max scaler that train --scale stored in the model.
+train, evaluate and benchmark read the whole spec. predict and distbox read
+the features file of a CSV pair, or every column of a single file that is not
+one of the model's labels (an @labels.xml suffix is ignored), and apply the
+min-max scaler that train --scale stored in the model. A header-only input
+predicts to an empty output.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from . import data as dataio
 from . import metrics as metricsmod
 from . import models, stats, tuning
 from .linalg import SingularSystemError
-from .modelio import ModelFileError, load_model, save_model
+from .modelio import ModelFileError, base_model, load_model, save_model
 
 METHODS = ("ml-mlm", "nn-mlm", "lls-mlm", "br-mlm")
 # the keys of a prediction record, in file order
@@ -44,29 +47,19 @@ class UsageError(Exception):
     pass
 
 
-def load_dataset(spec, labels_last=None, name=None):
-    if ";" in spec:
-        feat, lab = spec.split(";", 1)
-        return dataio.parse_csv(feat, lab, name=name)
-    arff_path, xml_path = spec.rsplit("@", 1) if "@" in spec else (spec, None)
-    if xml_path is None and labels_last is None:
-        raise UsageError(
-            f"dataset {spec!r} needs a label manifest (@file.xml) or --labels-last")
-    return dataio.parse_arff(
-        arff_path, label_manifest=xml_path, labels_last=labels_last, name=name)
-
-
 def apply_scale(X, scale):
     """X under a min-max scaler from data.min_max_bounds; None leaves X as it is."""
     return X if scale is None else (X - np.asarray(scale["min"])) / np.asarray(scale["span"])
 
 
 def load_features(spec, manifest):
-    """The feature columns of a predict input, under the model's scaler."""
+    """The feature columns of a predict input, under the model's scaler: the
+    features file of a CSV pair, whole, or the columns of a single file that
+    are not the model's labels."""
     if ";" in spec:
         _, X = dataio.read_csv_matrix(spec.split(";", 1)[0])
     else:
-        names, values = dataio.read_arff(spec.rsplit("@", 1)[0])
+        names, values = dataio.read_table(spec.rsplit("@", 1)[0])
         labels = set(manifest["label_names"])
         X = values[:, [i for i, name in enumerate(names) if name not in labels]]
     return apply_scale(X, manifest["scale"])
@@ -102,15 +95,6 @@ def fit_method(method, ds, alpha="auto", power=None, threshold=None):
 PREDICT_CHUNK_BYTES = 1 << 20
 
 
-def _base_model(model) -> models.DistanceModel:
-    """The distance model inside any trained model."""
-    if isinstance(model, tuning.TunedMlMlm):
-        return model.model
-    if isinstance(model, models.BrMlmModel):
-        return model.base
-    return model
-
-
 def predict_dataset(method, model, X, threshold=None) -> models.Prediction:
     """Batch predictions (Q-row arrays) for every row of X, in row chunks."""
     decode = {
@@ -127,18 +111,17 @@ def predict_dataset(method, model, X, threshold=None) -> models.Prediction:
         decode = models.ml_mlm_predict_rcut
     elif method == "ml-mlm" and threshold not in (None, "cardinality"):
         model = replace(model, threshold=float(threshold), lrl_curve=())
-    base = _base_model(model)
-    K, U = base.coefficients.shape
+    K, U = base_model(model).coefficients.shape
     step = max(1, PREDICT_CHUNK_BYTES // (8 * (K + U)))
-    parts = [decode(model, X[i:i + step]) for i in range(0, X.shape[0], step)]
+    # a 0-row X decodes once, to an empty Prediction
+    parts = [decode(model, X[i:i + step]) for i in range(0, max(X.shape[0], 1), step)]
     return models.Prediction(*(np.concatenate([getattr(p, name) for p in parts])
                                for name in PREDICTION_FIELDS))
 
 
 def write_predictions(preds, path) -> None:
-    """One JSON line per row of a batch Prediction; None writes an empty file."""
-    rows = () if preds is None else zip(
-        *(getattr(preds, name).tolist() for name in PREDICTION_FIELDS))
+    """One JSON line per row of a batch Prediction."""
+    rows = zip(*(getattr(preds, name).tolist() for name in PREDICTION_FIELDS))
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
             fh.write(json.dumps(dict(zip(PREDICTION_FIELDS, row))) + "\n")
@@ -162,7 +145,7 @@ def read_predictions(path):
 # ---------------------------------------------------------------- commands
 
 def cmd_train(args) -> int:
-    ds = load_dataset(args.data, labels_last=args.labels_last)
+    ds = dataio.load_dataset(args.data, args.labels_last)
     scale = dataio.min_max_bounds(ds.features) if args.scale == "minmax" else None
     model = fit_method(
         args.method, replace(ds, features=apply_scale(ds.features, scale)),
@@ -176,22 +159,14 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model, manifest = load_model(args.model)
-    try:
-        X = load_features(args.data, manifest)
-    except dataio.DataFormatError as exc:
-        # an input file with no data rows is a valid empty prediction job
-        if "no data rows" not in str(exc):
-            raise
-        X = None
-    preds = None if X is None else predict_dataset(
-        manifest["method"], model, X, args.threshold)
-    write_predictions(preds, args.out)
+    X = load_features(args.data, manifest)
+    write_predictions(predict_dataset(manifest["method"], model, X, args.threshold), args.out)
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
     scores, labels = read_predictions(args.predictions)
-    truth = load_dataset(args.truth, labels_last=args.labels_last)
+    truth = dataio.load_dataset(args.truth, args.labels_last)
     report = metricsmod.evaluate(labels, scores, truth.labels)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
@@ -218,8 +193,8 @@ def cmd_benchmark(args) -> int:
     names, rows = [], []
     for entry in args.dataset:
         name, train_spec, test_spec = _parse_dataset_arg(entry)
-        train_ds = load_dataset(train_spec, labels_last=args.labels_last, name=name)
-        test_ds = load_dataset(test_spec, labels_last=args.labels_last, name=name)
+        train_ds = dataio.load_dataset(train_spec, args.labels_last)
+        test_ds = dataio.load_dataset(test_spec, args.labels_last)
         # test rows are scaled by the training bounds, as train and predict do
         scale = dataio.min_max_bounds(train_ds.features) if args.scale == "minmax" else None
         train_ds = replace(train_ds, features=apply_scale(train_ds.features, scale))
@@ -273,7 +248,7 @@ def cmd_stats(args) -> int:
 
 def cmd_distbox(args) -> int:
     model, manifest = load_model(args.model)
-    deltas = models.predict_deltas(_base_model(model), load_features(args.data, manifest))
+    deltas = models.predict_deltas(base_model(model), load_features(args.data, manifest))
     mins = models.clamp_deltas(deltas).min(axis=1)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -287,7 +262,7 @@ def cmd_distbox(args) -> int:
 
 def _add_labels_last(p):
     p.add_argument("--labels-last", type=int, default=None,
-                   help="treat the last L attributes of an ARFF as labels")
+                   help="treat the last L columns of a single-file dataset as labels")
 
 
 def _add_data_flags(p):
@@ -363,7 +338,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, dataio.SpecError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SingularSystemError, tuning.LeverageError, np.linalg.LinAlgError) as exc:

@@ -1,12 +1,15 @@
-"""Dataset ingestion: Mulan-style ARFF (dense and sparse) with an XML
-label manifest, plus a CSV pair fallback and min-max scaling bounds.
+"""Dataset ingestion and min-max scaling bounds.
+
+read_table reads one file, as CSV (a header row) when its name ends in .csv
+and as Mulan-style ARFF (dense or sparse) otherwise. load_dataset builds a
+Dataset from a spec: a features.csv;labels.csv pair, or one file whose label
+columns a Mulan XML manifest names or that ends in labels_last label columns.
 """
 from __future__ import annotations
 
 import csv
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -15,9 +18,12 @@ class DataFormatError(ValueError):
     """Malformed or unsupported dataset file."""
 
 
+class SpecError(ValueError):
+    """A single-file dataset spec that does not say which columns are labels."""
+
+
 @dataclass(frozen=True)
 class Dataset:
-    name: str
     features: np.ndarray
     labels: np.ndarray
     feature_names: tuple[str, ...]
@@ -49,178 +55,164 @@ def read_label_manifest(path) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _parse_attribute(line: str, lineno: int) -> tuple[str, str]:
-    body = line.split(None, 1)[1].strip()
+def _parse_attribute(line: str) -> str:
+    """The name of a numeric or binary {0,1} @attribute."""
+    body = line[len("@attribute"):].strip()
     if body.startswith(("'", '"')):
-        quote = body[0]
-        end = body.index(quote, 1)
+        end = body.find(body[0], 1)
+        if end < 0:
+            raise DataFormatError("unterminated attribute name")
         name = body[1:end]
         rest = body[end + 1 :].strip()
     else:
         parts = body.split(None, 1)
         if len(parts) != 2:
-            raise DataFormatError(f"line {lineno}: malformed @attribute")
+            raise DataFormatError("malformed @attribute")
         name, rest = parts
     kind = rest.strip().lower()
     if kind in ("numeric", "real", "integer"):
-        return name, "numeric"
+        return name
     if kind.startswith("{"):
         values = {v.strip().strip("'\"") for v in kind.strip("{}").split(",")}
         if values <= {"0", "1"}:
-            return name, "numeric"
-        raise DataFormatError(
-            f"line {lineno}: nominal attribute '{name}' is not binary {{0,1}}"
-        )
-    raise DataFormatError(f"line {lineno}: unsupported attribute type '{kind}'")
+            return name
+        raise DataFormatError(f"nominal attribute '{name}' is not binary {{0,1}}")
+    raise DataFormatError(f"unsupported attribute type '{kind}'")
 
 
 def _split_dense_row(line: str) -> list[str]:
     return next(csv.reader([line], skipinitialspace=True))
 
 
-def _parse_value(tok: str, lineno: int) -> float:
+def _parse_value(tok: str) -> float:
     tok = tok.strip().strip("'\"")
     if tok == "" or tok == "?":
-        raise DataFormatError(f"line {lineno}: missing value")
+        raise DataFormatError("missing value")
     try:
         v = float(tok)
     except ValueError as exc:
-        raise DataFormatError(f"line {lineno}: non-numeric value '{tok}'") from exc
+        raise DataFormatError(f"non-numeric value '{tok}'") from exc
     if not np.isfinite(v):
-        raise DataFormatError(f"line {lineno}: non-finite value '{tok}'")
+        raise DataFormatError(f"non-finite value '{tok}'")
     return v
 
 
-def read_arff(path) -> tuple[list[str], np.ndarray]:
+def read_arff(path) -> tuple[tuple[str, ...], np.ndarray]:
     """Every attribute name of an ARFF file and its N x attributes value
-    matrix, rows in file order."""
+    matrix, rows in file order (0 rows when there is no data line)."""
     attr_names: list[str] = []
     rows: list[np.ndarray] = []
     n_attrs = 0
     in_data = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("%"):
-                continue
-            low = line.lower()
-            if not in_data:
-                if low.startswith("@relation"):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("%"):
                     continue
-                if low.startswith("@attribute"):
-                    aname, _ = _parse_attribute(line, lineno)
-                    attr_names.append(aname)
-                    continue
-                if low.startswith("@data"):
-                    in_data = True
-                    n_attrs = len(attr_names)
-                    if n_attrs == 0:
-                        raise DataFormatError("no attributes declared before @data")
-                    continue
-                raise DataFormatError(f"line {lineno}: unexpected header line")
-            row = np.zeros(n_attrs)
-            if line.startswith("{"):
-                body = line.strip("{}").strip()
-                if body:
-                    for item in body.split(","):
-                        parts = item.split()
-                        if len(parts) != 2:
-                            raise DataFormatError(
-                                f"line {lineno}: malformed sparse entry '{item}'"
-                            )
-                        idx = int(parts[0])
-                        if not 0 <= idx < n_attrs:
-                            raise DataFormatError(
-                                f"line {lineno}: sparse index {idx} out of range"
-                            )
-                        row[idx] = _parse_value(parts[1], lineno)
-            else:
-                toks = _split_dense_row(line)
-                if len(toks) != n_attrs:
-                    raise DataFormatError(
-                        f"line {lineno}: expected {n_attrs} values, got {len(toks)}"
-                    )
-                row[:] = [_parse_value(t, lineno) for t in toks]
-            rows.append(row)
-    if not rows:
-        raise DataFormatError(f"{path}: no data rows")
-    return attr_names, np.vstack(rows)
-
-
-def parse_arff(
-    path,
-    label_manifest=None,
-    labels_last: int | None = None,
-    name: str | None = None,
-) -> Dataset:
-    """Load a Mulan-style ARFF file.
-
-    Label attributes are identified either by the XML manifest
-    (label_manifest) or as the trailing labels_last attributes. Row order
-    is preserved exactly as in the file.
-    """
-    attr_names, values = read_arff(path)
-    if label_manifest is not None:
-        label_names = read_label_manifest(label_manifest)
-        missing = [n for n in label_names if n not in attr_names]
-        if missing:
-            raise DataFormatError(
-                f"manifest labels missing from ARFF header: {missing}"
-            )
-        label_idx = [attr_names.index(n) for n in label_names]
-    elif labels_last is not None:
-        if not 0 < labels_last < len(attr_names):
-            raise DataFormatError("labels_last out of range")
-        label_idx = list(range(len(attr_names) - labels_last, len(attr_names)))
-        label_names = tuple(attr_names[i] for i in label_idx)
-    else:
-        raise DataFormatError("either label_manifest or labels_last is required")
-
-    label_set = set(label_idx)
-    feat_idx = [i for i in range(len(attr_names)) if i not in label_set]
-    return Dataset(
-        name=name or Path(path).stem,
-        features=values[:, feat_idx],
-        labels=values[:, label_idx],
-        feature_names=tuple(attr_names[i] for i in feat_idx),
-        label_names=tuple(label_names),
-    )
+                low = line.lower()
+                if not in_data:
+                    if low.startswith("@relation"):
+                        continue
+                    if low.startswith("@attribute"):
+                        attr_names.append(_parse_attribute(line))
+                        continue
+                    if low.startswith("@data"):
+                        in_data = True
+                        n_attrs = len(attr_names)
+                        if n_attrs == 0:
+                            raise DataFormatError("no attributes declared before @data")
+                        continue
+                    raise DataFormatError("not an ARFF header line")
+                row = np.zeros(n_attrs)
+                if line.startswith("{"):
+                    body = line.strip("{}").strip()
+                    if body:
+                        for item in body.split(","):
+                            parts = item.split()
+                            if len(parts) != 2 or not parts[0].isdecimal():
+                                raise DataFormatError(f"malformed sparse entry '{item}'")
+                            idx = int(parts[0])
+                            if idx >= n_attrs:
+                                raise DataFormatError(f"sparse index {idx} out of range")
+                            row[idx] = _parse_value(parts[1])
+                else:
+                    toks = _split_dense_row(line)
+                    if len(toks) != n_attrs:
+                        raise DataFormatError(
+                            f"expected {n_attrs} values, got {len(toks)}")
+                    row[:] = [_parse_value(t) for t in toks]
+                rows.append(row)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path} line {lineno}: {exc}") from None
+    return tuple(attr_names), np.vstack(rows) if rows else np.zeros((0, len(attr_names)))
 
 
 def read_csv_matrix(path) -> tuple[tuple[str, ...], np.ndarray]:
-    """The header row and the value matrix of one CSV file."""
+    """The header row and the value matrix of one CSV file (0 rows when
+    there is only the header)."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = tuple(next(reader))
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
+        header = tuple(next(reader, ()))
         rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataFormatError(f"{path} line {lineno}: ragged row")
-            rows.append([_parse_value(t, lineno) for t in row])
-    if not rows:
-        raise DataFormatError(f"{path}: no data rows")
-    return header, np.array(rows)
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DataFormatError("ragged row")
+                rows.append([_parse_value(t) for t in row])
+        except DataFormatError as exc:
+            raise DataFormatError(f"{path} line {lineno}: {exc}") from None
+    return header, np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
 
 
-def parse_csv(features_path, labels_path, name: str | None = None) -> Dataset:
-    """Load a (features.csv, labels.csv) pair; both need a header row."""
-    feat_names, X = read_csv_matrix(features_path)
-    label_names, Y = read_csv_matrix(labels_path)
-    if X.shape[0] != Y.shape[0]:
-        raise DataFormatError(
-            f"row count mismatch: {X.shape[0]} feature rows vs {Y.shape[0]} label rows"
-        )
+def read_table(path) -> tuple[tuple[str, ...], np.ndarray]:
+    """The column names and value matrix of one file: read as CSV when its
+    name ends in .csv (in any case), and as ARFF otherwise."""
+    return read_csv_matrix(path) if str(path).lower().endswith(".csv") else read_arff(path)
+
+
+def load_dataset(spec: str, labels_last: int | None = None) -> Dataset:
+    """A Dataset from a dataset spec, rows in file order.
+
+    'features.csv;labels.csv' is a pair of CSV files, whatever their names,
+    and each is taken whole. Any other spec is one file (read_table), with
+    its label columns named by a Mulan XML manifest ('data.arff@labels.xml')
+    or, without one, its last labels_last columns.
+    """
+    if ";" in spec:
+        feature_path, label_path = spec.split(";", 1)
+        feature_names, X = read_csv_matrix(feature_path)
+        label_names, Y = read_csv_matrix(label_path)
+        if X.shape[0] != Y.shape[0]:
+            raise DataFormatError(
+                f"row count mismatch: {X.shape[0]} feature rows vs {Y.shape[0]} label rows"
+            )
+        return Dataset(features=X, labels=Y, feature_names=feature_names,
+                       label_names=label_names)
+    path, manifest = spec.rsplit("@", 1) if "@" in spec else (spec, None)
+    if manifest is None and labels_last is None:
+        raise SpecError(
+            f"dataset {spec!r} needs a label manifest (@file.xml) or --labels-last")
+    names, values = read_table(path)
+    if manifest is not None:
+        label_names = read_label_manifest(manifest)
+        missing = [n for n in label_names if n not in names]
+        if missing:
+            raise DataFormatError(f"{path}: manifest labels missing from header: {missing}")
+        label_idx = [names.index(n) for n in label_names]
+    else:
+        if not 0 < labels_last < len(names):
+            raise DataFormatError(f"{path}: labels_last {labels_last} out of range")
+        label_idx = list(range(len(names) - labels_last, len(names)))
+    label_set = set(label_idx)
+    feat_idx = [i for i in range(len(names)) if i not in label_set]
     return Dataset(
-        name=name or Path(features_path).stem,
-        features=X,
-        labels=Y,
-        feature_names=feat_names,
-        label_names=label_names,
+        features=values[:, feat_idx],
+        labels=values[:, label_idx],
+        feature_names=tuple(names[i] for i in feat_idx),
+        label_names=tuple(names[i] for i in label_idx),
     )
 
 

@@ -52,21 +52,23 @@ def _write(path, manifest: dict, blobs: dict) -> None:
             zf.writestr(info, blobs[name])
 
 
+def base_model(model) -> DistanceModel:
+    """The distance model inside any trained model."""
+    if isinstance(model, TunedMlMlm):
+        return model.model
+    if isinstance(model, BrMlmModel):
+        return model.base
+    if isinstance(model, DistanceModel):
+        return model
+    raise TypeError(f"not a trained model: {type(model).__name__}")
+
+
 def save_model(path, model, method: str, scale: dict | None = None) -> None:
     """Serialize a trained model under its method name, with the min-max
     scaler of its training features (data.min_max_bounds), if any."""
-    if isinstance(model, TunedMlMlm):
-        base = model.model
-        power, threshold = model.power, model.threshold
-    elif isinstance(model, BrMlmModel):
-        base = model.base
-        power = threshold = None
-    elif isinstance(model, DistanceModel):
-        base = model
-        power = threshold = None
-    else:
-        raise TypeError(f"cannot serialize {type(model).__name__}")
-
+    base = base_model(model)
+    tuned = isinstance(model, TunedMlMlm)
+    power, threshold = (model.power, model.threshold) if tuned else (None, None)
     arrays = {"references": base.references, "coefficients": base.coefficients,
               "train_labels": base.train_labels, "label_counts": base.label_counts}
     if isinstance(model, BrMlmModel):

@@ -107,8 +107,8 @@ def auto_alpha(distances) -> float:
     """Lower 1/1000-quantile of the positive pairwise reference distances.
 
     distances is the K x K matrix of distances between the references.
-    Self-distances are excluded; the quantile is taken over the unordered
-    distinct pairs by sorting and indexing at floor(count/1000).
+    Self-distances are excluded; the quantile is the order statistic at
+    floor(count/1000) over the unordered distinct pairs.
     """
     d = np.asarray(distances, dtype=np.float64)
     if d.shape[0] < 2:
@@ -118,8 +118,8 @@ def auto_alpha(distances) -> float:
     pair_dists = pair_dists[pair_dists > 0.0]
     if pair_dists.size == 0:
         raise ValueError("all pairwise reference distances are zero")
-    pair_dists.sort()
-    return float(pair_dists[pair_dists.size // 1000])
+    k = pair_dists.size // 1000
+    return float(np.partition(pair_dists, k)[k])
 
 
 def first_seen(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

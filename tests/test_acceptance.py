@@ -61,8 +61,8 @@ TUNED_EXPONENTS = {"emotions": 2.9, "scene": 2.0, "yeast": 3.2, "medical": 7.8}
 
 def load_split(name):
     train_p, test_p, xml_p = mulan_paths(name)
-    train = dataio.parse_arff(train_p, label_manifest=xml_p, name=name)
-    test = dataio.parse_arff(test_p, label_manifest=xml_p, name=name)
+    train = dataio.load_dataset(f"{train_p}@{xml_p}")
+    test = dataio.load_dataset(f"{test_p}@{xml_p}")
     return train, test
 
 

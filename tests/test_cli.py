@@ -149,7 +149,7 @@ class TestTrainPredictEvaluate:
         assert not preds.exists()
 
     def test_evaluate_has_no_scale_option(self, tmp_path, toy_specs):
-        # evaluate reads only the truth labels, which scaling never touches
+        # evaluate uses only the truth labels, which scaling never touches
         train, test = toy_specs
         model_path = tmp_path / "m.dmlm"
         preds = tmp_path / "p.jsonl"
@@ -169,11 +169,11 @@ class TestTrainPredictEvaluate:
         l = tmp_path / "empty_l.csv"
         f.write_text("f0,f1,f2\n")
         l.write_text("y0,y1,y2\n")
-        out = tmp_path / "empty.jsonl"
-        assert cli.main([
-            "predict", str(model_path), f"{f};{l}", "--out", str(out),
-        ]) == 0
-        assert out.read_text() == ""
+        for spec in (f"{f};{l}", str(f)):
+            for command, expected in (("predict", ""), ("distbox", "instance,min_distance\n")):
+                out = tmp_path / f"empty_{command}"
+                assert cli.main([command, str(model_path), spec, "--out", str(out)]) == 0
+                assert out.read_text() == expected
 
 
 class TestModelDecidesInput:
@@ -250,6 +250,32 @@ class TestModelDecidesInput:
             assert cli.main([command, str(model_path), spec, "--out", str(outs[-1])]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
         assert len(outs[0].read_text().splitlines()) == 5 + (command == "distbox")
+
+    @pytest.mark.parametrize("command", ["predict", "distbox"])
+    def test_csv_alone_or_paired_same_bytes(self, tmp_path, toy_specs, command):
+        # a single .csv file is read as CSV; a pair's labels file is not read
+        train, test = toy_specs
+        model_path = tmp_path / "m.dmlm"
+        assert cli.main(["train", train, "--out", str(model_path)]) == 0
+        features = test.split(";")[0]
+        outs = []
+        for i, spec in enumerate([test, f"{features};", features]):
+            outs.append(tmp_path / f"out{i}")
+            assert cli.main([command, str(model_path), spec, "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+        assert len(outs[0].read_text().splitlines()) == 7 + (command == "distbox")
+
+    def test_single_csv_labels_last_trains_as_pair(self, tmp_path, toy_specs):
+        train, _ = toy_specs
+        feature_path, label_path = train.split(";")
+        pasted = tmp_path / "pasted.csv"
+        pasted.write_text("".join(
+            f"{a},{b}\n" for a, b in zip(Path(feature_path).read_text().splitlines(),
+                                        Path(label_path).read_text().splitlines())))
+        pair, single = tmp_path / "pair.dmlm", tmp_path / "single.dmlm"
+        assert cli.main(["train", train, "--out", str(pair)]) == 0
+        assert cli.main(["train", str(pasted), "--labels-last", "3", "--out", str(single)]) == 0
+        assert pair.read_bytes() == single.read_bytes()
 
     @pytest.mark.parametrize("argv", [
         ["train", "{train}", "--labels-xml", "x.xml"],
@@ -359,6 +385,18 @@ class TestExitCodes:
             "train", "missing_f.csv;missing_l.csv",
             "--out", str(tmp_path / "m.dmlm"),
         ]) == 2
+
+    def test_data_error_header_only_training_set(self, tmp_path):
+        f, l = tmp_path / "f.csv", tmp_path / "l.csv"
+        f.write_text("a,b\n")
+        l.write_text("y\n")
+        arff = tmp_path / "d.arff"
+        arff.write_text("@relation r\n@attribute a numeric\n@attribute y {0,1}\n@data\n")
+        for spec in (f"{f};{l}", str(f), str(arff)):
+            model_path = tmp_path / "m.dmlm"
+            assert cli.main(["train", spec, "--labels-last", "1",
+                             "--out", str(model_path)]) == 2
+            assert not model_path.exists()
 
     def test_data_error_malformed_arff(self, tmp_path):
         p = tmp_path / "bad.arff"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -57,7 +59,7 @@ def manifest_file(tmp_path):
 
 class TestParseArff:
     def test_dense_with_manifest(self, dense_file, manifest_file):
-        ds = dataio.parse_arff(dense_file, label_manifest=manifest_file)
+        ds = dataio.load_dataset(f"{dense_file}@{manifest_file}")
         assert ds.features.shape == (3, 2)
         assert ds.labels.shape == (3, 2)
         assert ds.feature_names == ("feat1", "feat2")
@@ -65,17 +67,17 @@ class TestParseArff:
         np.testing.assert_array_equal(ds.labels[2], [1.0, 1.0])
 
     def test_dense_with_labels_last(self, dense_file):
-        ds = dataio.parse_arff(dense_file, labels_last=2)
+        ds = dataio.load_dataset(str(dense_file), labels_last=2)
         assert ds.label_names == ("labelA", "labelB")
 
     def test_row_order_preserved(self, dense_file, manifest_file):
-        ds = dataio.parse_arff(dense_file, label_manifest=manifest_file)
+        ds = dataio.load_dataset(f"{dense_file}@{manifest_file}")
         np.testing.assert_array_equal(ds.features[:, 0], [0.5, -1.0, 3.25])
 
     def test_sparse_expansion(self, tmp_path):
         p = tmp_path / "sp.arff"
         p.write_text(SPARSE_ARFF)
-        ds = dataio.parse_arff(p, labels_last=1)
+        ds = dataio.load_dataset(str(p), labels_last=1)
         np.testing.assert_array_equal(ds.features[0], [1.0, 0.0, 0.0])
         np.testing.assert_array_equal(ds.labels[:, 0], [1.0, 0.0, 0.0])
         np.testing.assert_array_equal(ds.features[2], [0.0, 2.5, -1.0])
@@ -84,27 +86,40 @@ class TestParseArff:
         p = tmp_path / "bad.arff"
         p.write_text("@relation r\n@attribute s string\n@data\nx\n")
         with pytest.raises(dataio.DataFormatError) as err:
-            dataio.parse_arff(p, labels_last=1)
-        assert "line 2" in str(err.value)
+            dataio.load_dataset(str(p), labels_last=1)
+        assert f"{p} line 2" in str(err.value)
+
+    @pytest.mark.parametrize("text, where", [
+        ("@relation r\n@attribute 'a numeric\n@data\n", "line 2"),
+        ("@relation r\n@attribute a numeric\n@attribute l {0,1}\n@data\n1,x\n", "line 5"),
+        ("@relation r\n@attribute a numeric\n@attribute l {0,1}\n@data\n{x 1}\n", "line 5"),
+        ("@relation r\n@attribute a numeric\n@attribute l {0,1}\n@data\n{7 1}\n", "line 5"),
+        ("a,l\n1,0\n", "line 1"),
+    ], ids=["unterminated-name", "non-numeric", "sparse-index", "sparse-range", "csv-text"])
+    def test_errors_name_file_and_line(self, tmp_path, text, where):
+        p = tmp_path / "bad.arff"
+        p.write_text(text)
+        with pytest.raises(dataio.DataFormatError, match="^" + re.escape(f"{p} {where}: ")):
+            dataio.load_dataset(str(p), labels_last=1)
 
     def test_manifest_label_missing_from_header(self, dense_file, tmp_path):
         xml = tmp_path / "bad.xml"
         xml.write_text('<labels><label name="nosuch"/></labels>')
         with pytest.raises(dataio.DataFormatError):
-            dataio.parse_arff(dense_file, label_manifest=xml)
+            dataio.load_dataset(f"{dense_file}@{xml}")
 
     def test_missing_value_rejected(self, tmp_path):
         p = tmp_path / "mv.arff"
         p.write_text("@relation r\n@attribute a numeric\n@attribute l {0,1}\n"
                      "@data\n?,1\n")
         with pytest.raises(dataio.DataFormatError):
-            dataio.parse_arff(p, labels_last=1)
+            dataio.load_dataset(str(p), labels_last=1)
 
     def test_nonbinary_nominal_rejected(self, tmp_path):
         p = tmp_path / "nom.arff"
         p.write_text("@relation r\n@attribute a {red,blue}\n@data\nred\n")
         with pytest.raises(dataio.DataFormatError):
-            dataio.parse_arff(p, labels_last=1)
+            dataio.load_dataset(str(p), labels_last=1)
 
 
 class TestParseCsv:
@@ -117,7 +132,7 @@ class TestParseCsv:
 
     def test_fixture(self, tmp_path):
         f, l = self._write_pair(tmp_path, [[0.0, 1.0], [2.0, 3.0]], [1, 0])
-        ds = dataio.parse_csv(f, l)
+        ds = dataio.load_dataset(f"{f};{l}")
         assert ds.features.shape == (2, 2)
         assert ds.labels.shape == (2, 1)
 
@@ -127,28 +142,59 @@ class TestParseCsv:
         f.write_text("a\n1\n2\n")
         l.write_text("y\n1\n")
         with pytest.raises(dataio.DataFormatError):
-            dataio.parse_csv(f, l)
+            dataio.load_dataset(f"{f};{l}")
 
     def test_nonbinary_label_rejected(self, tmp_path):
         f, l = self._write_pair(tmp_path, [[0.0, 1.0], [2.0, 3.0]], [1, 2])
         with pytest.raises(dataio.DataFormatError):
-            dataio.parse_csv(f, l)
+            dataio.load_dataset(f"{f};{l}")
 
     def test_round_trip_identity(self, tmp_path):
         rng = np.random.default_rng(71)
         X = rng.normal(size=(6, 3))
         Y = (rng.random((6, 2)) < 0.5).astype(float)
         ds = dataio.Dataset(
-            name="rt", features=X, labels=Y,
+            features=X, labels=Y,
             feature_names=("a", "b", "c"), label_names=("u", "v"),
         )
         f = tmp_path / "f.csv"
         l = tmp_path / "l.csv"
         export_csv(ds, f, l)
-        back = dataio.parse_csv(f, l)
+        back = dataio.load_dataset(f"{f};{l}")
         assert (back.features == X).all()
         assert (back.labels == Y).all()
         assert back.feature_names == ds.feature_names
+
+
+class TestReadTable:
+    def test_format_follows_file_name(self, tmp_path, dense_file, manifest_file):
+        # the same table as CSV, under an upper-case .CSV name
+        csv_file = tmp_path / "toy.CSV"
+        csv_file.write_text("feat1,feat2,labelA,labelB\n" + DENSE_ARFF.split("@data\n")[1])
+        from_arff = dataio.load_dataset(f"{dense_file}@{manifest_file}")
+        from_csv = dataio.load_dataset(f"{csv_file}@{manifest_file}")
+        for field in ("features", "labels"):
+            np.testing.assert_array_equal(getattr(from_csv, field), getattr(from_arff, field))
+        assert from_csv.feature_names == from_arff.feature_names
+        assert from_csv.label_names == from_arff.label_names
+
+    def test_header_only_reads_zero_rows(self, tmp_path):
+        csv_file, arff = tmp_path / "h.csv", tmp_path / "h.arff"
+        csv_file.write_text("a,b,y\n")
+        arff.write_text("@relation r\n@attribute a numeric\n@attribute b numeric\n"
+                        "@attribute y {0,1}\n@data\n")
+        no_data = tmp_path / "no_data.arff"  # no @data line at all
+        no_data.write_text(arff.read_text().replace("@data\n", ""))
+        for path in (csv_file, arff, no_data):
+            names, values = dataio.read_table(path)
+            assert names == ("a", "b", "y")
+            assert values.shape == (0, 3)
+            with pytest.raises(dataio.DataFormatError, match="empty dataset"):
+                dataio.load_dataset(str(path), labels_last=1)
+
+    def test_spec_without_label_columns_refused(self, dense_file):
+        with pytest.raises(dataio.SpecError):
+            dataio.load_dataset(str(dense_file))
 
 
 class TestScaling:
