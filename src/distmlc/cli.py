@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: train, predict, evaluate, benchmark, stats, distbox.
+Subcommands: train, predict, evaluate, benchmark, stats.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
 All data outputs are byte-deterministic for identical inputs and flags.
 
@@ -10,11 +10,12 @@ name ends in .csv and as ARFF otherwise:
   data.arff@labels.xml           one file with a Mulan XML label manifest
   data.arff                      one file with --labels-last L
 
-train, evaluate and benchmark read the whole spec. predict and distbox read
-the features file of a CSV pair, or every column of a single file that is not
-one of the model's labels (an @labels.xml suffix is ignored), and apply the
+train, evaluate and benchmark read the whole spec. predict reads the
+features file of a CSV pair, or every column of a single file that is not
+one of the model's labels (an @labels.xml suffix is ignored), and applies the
 min-max scaler that train --scale stored in the model. A header-only input
-predicts to an empty output.
+predicts to an empty output. predict alone writes the per-row outputs and
+sets a fixed threshold; train stores the LOO cardinality threshold.
 """
 from __future__ import annotations
 
@@ -31,9 +32,8 @@ from . import data as dataio
 from . import metrics as metricsmod
 from . import models, stats, tuning
 from .linalg import SingularSystemError
-from .modelio import ModelFileError, base_model, load_model, save_model
+from .modelio import METHODS, ModelFileError, base_model, load_model, save_model
 
-METHODS = ("ml-mlm", "nn-mlm", "lls-mlm", "br-mlm")
 # the keys of a prediction record, in file order
 PREDICTION_FIELDS = ("scores", "labels", "min_distance", "uncertainty")
 
@@ -65,23 +65,16 @@ def load_features(spec, manifest):
     return apply_scale(X, manifest["scale"])
 
 
-def fit_method(method, ds, alpha="auto", power=None, threshold=None):
-    """Train one model of the requested kind on a Dataset; alpha, power and
-    threshold are given as on the train command line (None: the ml-mlm default)."""
+def fit_method(method, ds, alpha="auto", power=None):
+    """Train one model of the requested kind on a Dataset; alpha is "auto" or
+    a float, power None (the ml-mlm default), "tuned" or a float."""
     X, Y, names = ds.features, ds.labels, ds.label_names
-    alpha = alpha if alpha == "auto" else float(alpha)
-    if method != "ml-mlm" and (power, threshold) != (None, None):
-        raise UsageError(f"--power and --threshold apply to ml-mlm only, not to {method}")
-    if threshold == "local-rcut":
-        raise UsageError("local rank-cut is chosen when decoding: train with "
-                         "cardinality or a float, then predict --threshold local-rcut")
+    if method != "ml-mlm" and power is not None:
+        raise UsageError(f"--power applies to ml-mlm only, not to {method}")
     if method == "ml-mlm":
-        power = "tuned" if power in (None, "tuned") else float(power)
-        tmode = "cardinality" if threshold in (None, "cardinality") else float(threshold)
-        return tuning.tune_ml_mlm(
-            X, Y, alpha_mode=alpha, power_mode=power,
-            threshold_mode=tmode, label_names=names,
-        )
+        return tuning.tune_ml_mlm(X, Y, alpha_mode=alpha,
+                                  power_mode="tuned" if power is None else power,
+                                  label_names=names)
     if method == "br-mlm":
         return models.train_br(X, Y, alpha_mode=alpha, label_names=names)
     if method in ("nn-mlm", "lls-mlm"):
@@ -96,21 +89,20 @@ PREDICT_CHUNK_BYTES = 1 << 20
 
 
 def predict_dataset(method, model, X, threshold=None) -> models.Prediction:
-    """Batch predictions (Q-row arrays) for every row of X, in row chunks."""
+    """Batch predictions (Q-row arrays) for every row of X, in row chunks; an
+    ml-mlm threshold is None or "cardinality" (the model's), "local-rcut" or a float."""
     decode = {
         "ml-mlm": models.ml_mlm_predict,
         "nn-mlm": models.nn_mlm_predict,
         "lls-mlm": models.lls_mlm_predict,
         "br-mlm": models.br_mlm_predict,
-    }.get(method)
-    if decode is None:
-        raise UsageError(f"unknown method {method!r}")
+    }[method]
     if threshold is not None and method != "ml-mlm":
         raise UsageError(f"--threshold applies to ml-mlm only, not to {method}")
-    if method == "ml-mlm" and threshold == "local-rcut":
+    if threshold == "local-rcut":
         decode = models.ml_mlm_predict_rcut
-    elif method == "ml-mlm" and threshold not in (None, "cardinality"):
-        model = replace(model, threshold=float(threshold), lrl_curve=())
+    elif threshold not in (None, "cardinality"):
+        model = replace(model, threshold=threshold, lrl_curve=())
     K, U = base_model(model).coefficients.shape
     step = max(1, PREDICT_CHUNK_BYTES // (8 * (K + U)))
     # a 0-row X decodes once, to an empty Prediction
@@ -130,13 +122,17 @@ def write_predictions(preds, path) -> None:
 def read_predictions(path):
     scores, labels = [], []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for n, line in enumerate(fh, start=1):
+            if not line.strip():
                 continue
-            rec = json.loads(line)
-            scores.append(rec["scores"])
-            labels.append(rec["labels"])
+            try:
+                rec = json.loads(line)
+                scores.append(rec["scores"])
+                labels.append(rec["labels"])
+            except (ValueError, KeyError, TypeError) as exc:
+                raise dataio.DataFormatError(
+                    f"{path} line {n}: not a prediction record "
+                    f"({type(exc).__name__}: {exc})") from None
     if not scores:
         raise dataio.DataFormatError(f"{path}: no prediction records")
     return np.array(scores, dtype=np.float64), np.array(labels, dtype=np.float64)
@@ -149,7 +145,7 @@ def cmd_train(args) -> int:
     scale = dataio.min_max_bounds(ds.features) if args.scale == "minmax" else None
     model = fit_method(
         args.method, replace(ds, features=apply_scale(ds.features, scale)),
-        alpha=args.alpha, power=args.power, threshold=args.threshold,
+        alpha=args.alpha, power=args.power,
     )
     save_model(args.out, model, args.method, scale)
     if args.curve_out and args.method == "ml-mlm" and model.lrl_curve:
@@ -246,19 +242,22 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def cmd_distbox(args) -> int:
-    model, manifest = load_model(args.model)
-    deltas = models.predict_deltas(base_model(model), load_features(args.data, manifest))
-    mins = models.clamp_deltas(deltas).min(axis=1)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["instance", "min_distance"])
-        for i, v in enumerate(mins):
-            w.writerow([i, repr(float(v))])
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------- parser
+
+def _word_or_float(words, check, expected):
+    """An argparse type: one of words as given, or a finite float passing check."""
+    def convert(text):
+        if text in words:
+            return text
+        try:
+            value = float(text)
+        except ValueError:
+            value = np.nan
+        if np.isfinite(value) and check(value):
+            return value
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return convert
+
 
 def _add_labels_last(p):
     p.add_argument("--labels-last", type=int, default=None,
@@ -281,11 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model and write a model file")
     p.add_argument("data", help="training dataset spec")
     p.add_argument("--method", choices=METHODS, default="ml-mlm")
-    p.add_argument("--alpha", default="auto", help="auto or a fixed float")
+    p.add_argument("--alpha", default="auto",
+                   type=_word_or_float(("auto",), lambda v: v >= 0, "auto or a float >= 0"),
+                   help="auto or a fixed float >= 0")
     p.add_argument("--power", default=None,
-                   help="ml-mlm only: tuned (the default) or a fixed float")
-    p.add_argument("--threshold", default=None,
-                   help="ml-mlm only: cardinality (the default) or a fixed float")
+                   type=_word_or_float(("tuned",), lambda v: v > 0, "tuned or a float > 0"),
+                   help="ml-mlm only: tuned (the default) or a fixed float > 0")
     p.add_argument("--out", required=True)
     p.add_argument("--curve-out", default=None,
                    help="also write the power-search curve as CSV")
@@ -296,7 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("data")
     p.add_argument("--threshold", default=None,
-                   help="ml-mlm only: cardinality, local-rcut, or a fixed float")
+                   type=_word_or_float(("cardinality", "local-rcut"), lambda v: True,
+                                       "cardinality, local-rcut or a float"),
+                   help="ml-mlm only: cardinality (the default), local-rcut, or a float")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
@@ -321,12 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("distbox", help="per-instance minimum predicted distances")
-    p.add_argument("model")
-    p.add_argument("data")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_distbox)
-
     return parser
 
 
@@ -344,8 +340,7 @@ def main(argv=None) -> int:
     except (SingularSystemError, tuning.LeverageError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (dataio.DataFormatError, ModelFileError, FileNotFoundError,
-            ValueError) as exc:
+    except (dataio.DataFormatError, ModelFileError, OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -44,7 +44,10 @@ class Dataset:
 
 def read_label_manifest(path) -> tuple[str, ...]:
     """Label attribute names from a Mulan XML manifest."""
-    root = ET.parse(path).getroot()
+    try:
+        root = ET.parse(path).getroot()
+    except ET.ParseError as exc:  # its message gives the line and column
+        raise DataFormatError(f"{path}: not a label manifest: {exc}") from None
     names = []
     for el in root.iter():
         tag = el.tag.rsplit("}", 1)[-1]
@@ -143,27 +146,31 @@ def read_arff(path) -> tuple[tuple[str, ...], np.ndarray]:
                             f"expected {n_attrs} values, got {len(toks)}")
                     row[:] = [_parse_value(t) for t in toks]
                 rows.append(row)
-    except DataFormatError as exc:
+    except (DataFormatError, csv.Error) as exc:
         raise DataFormatError(f"{path} line {lineno}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return tuple(attr_names), np.vstack(rows) if rows else np.zeros((0, len(attr_names)))
 
 
 def read_csv_matrix(path) -> tuple[tuple[str, ...], np.ndarray]:
     """The header row and the value matrix of one CSV file (0 rows when
     there is only the header)."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        rows = []
-        try:
-            for lineno, row in enumerate(reader, start=2):
+    rows = []
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = tuple(next(reader, ()))
+            for row in reader:
                 if not row:
                     continue
                 if len(row) != len(header):
                     raise DataFormatError("ragged row")
                 rows.append([_parse_value(t) for t in row])
-        except DataFormatError as exc:
-            raise DataFormatError(f"{path} line {lineno}: {exc}") from None
+    except (DataFormatError, csv.Error) as exc:
+        raise DataFormatError(f"{path} line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return header, np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
 
 

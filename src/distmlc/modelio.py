@@ -27,6 +27,8 @@ from .models import BrMlmModel, DistanceModel
 from .tuning import TunedMlMlm
 
 FORMAT_VERSION = 4
+# the methods a model file may name
+METHODS = ("ml-mlm", "nn-mlm", "lls-mlm", "br-mlm")
 _EPOCH = (1980, 1, 1, 0, 0, 0)
 
 
@@ -134,6 +136,8 @@ def load_model(path):
                 raise ModelFileError(f"unsupported format_version {version}")
             dims = manifest["dimensions"]
             method = manifest["method"]
+            if method not in METHODS:
+                raise ModelFileError(f"invalid model file: unknown method {method!r}")
             arrays = {}
             for name, shape in dims.items():
                 raw = zf.read(name + ".f64")

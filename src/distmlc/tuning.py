@@ -3,7 +3,8 @@
 The ridge system is solved once; leverage values then give every
 out-of-sample distance prediction directly, so the power-parameter grid
 search and the cardinality-based threshold both reuse a single training
-pass.
+pass. The stored threshold is always this cardinality threshold; a fixed
+one is applied when decoding (cli.predict_dataset).
 """
 from __future__ import annotations
 
@@ -108,17 +109,14 @@ def local_rcut(scores, k_cut) -> np.ndarray:
     return (rank < k_cut[..., None]).astype(np.int64)
 
 
-def tune_ml_mlm(
-    X, Y, alpha_mode="auto", power_mode="tuned", threshold_mode="cardinality",
-    label_names=(),
-) -> TunedMlMlm:
+def tune_ml_mlm(X, Y, alpha_mode="auto", power_mode="tuned", label_names=()) -> TunedMlMlm:
     """Train the distance model and pick power and threshold in one LOO pass.
 
-    power_mode is "tuned" or a fixed positive float; threshold_mode is
-    "cardinality" or a fixed float. The leave-one-out distances are
-    computed only when some hyper-parameter actually needs them, from
-    the factorization the fit already made. Tuning the power needs some
-    row of Y with both a relevant and an irrelevant label.
+    power_mode is "tuned" or a fixed positive float; the threshold is the
+    cardinality threshold of the leave-one-out scores at that power. The
+    leave-one-out distances come from the factorization the fit already
+    made. Tuning the power needs some row of Y with both a relevant and an
+    irrelevant label.
     """
     Y = np.asarray(Y, dtype=np.float64)
     card = Y.sum(axis=-1)
@@ -129,25 +127,18 @@ def tune_ml_mlm(
             "loss has nothing to rank; give a fixed power (--power) instead")
     model, Dx, Dy, gram, B = _models.fit(
         X, Y, alpha_mode=alpha_mode, label_names=label_names)
-    loo = None
-    if power_mode == "tuned" or threshold_mode == "cardinality":
-        if gram is None:
-            raise SingularSystemError("U = Dx^T Dx + alpha*I is not positive definite")
-        loo = loo_deltas(gram, Dx, Dy, B)
+    if gram is None:
+        raise SingularSystemError("U = Dx^T Dx + alpha*I is not positive definite")
+    loo = loo_deltas(gram, Dx, Dy, B)
     del Dx, Dy, gram, B  # the rest needs only the LOO matrix
     labels, counts = model.train_labels, model.label_counts
     if power_mode == "tuned":
         power, curve = search_power(loo, Y, labels, counts)
     else:
-        power = float(power_mode)
+        power, curve = float(power_mode), ()
         if power <= 0:
             raise ValueError("fixed power must be positive")
-        curve = ()
-    if threshold_mode == "cardinality":
-        loo_scores = _models.idw_scores(loo, labels, power, counts)
-        threshold = cardinality_threshold(loo_scores, Y)
-    else:
-        threshold = float(threshold_mode)
+    threshold = cardinality_threshold(_models.idw_scores(loo, labels, power, counts), Y)
     return TunedMlMlm(model=model, power=power, threshold=threshold, lrl_curve=curve)
 
 

@@ -1,7 +1,9 @@
 import csv
 import itertools
+import json
 import os
 import re
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +126,20 @@ def loo_from_fit(Dx, Dy, alpha):
 
     gram, B = fit_ridge(Dx, Dy, alpha)
     return loo_deltas(gram, Dx, Dy, B)
+
+
+def rewrite(path, edit) -> None:
+    """Rewrite a saved model file after edit(manifest, arrays) changed them in place."""
+    with zipfile.ZipFile(path) as zf:
+        manifest = json.loads(zf.read("manifest.json"))
+        arrays = {name: np.frombuffer(zf.read(name + ".f64"), dtype="<f8").reshape(shape).copy()
+                  for name, shape in manifest["dimensions"].items()}
+    edit(manifest, arrays)
+    manifest["dimensions"] = {name: list(a.shape) for name, a in arrays.items()}
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr("manifest.json", json.dumps(manifest))
+        for name, a in arrays.items():
+            zf.writestr(name + ".f64", a.astype("<f8").tobytes())
 
 
 def pinv_ridge(Dx, Dy, alpha):

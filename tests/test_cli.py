@@ -1,3 +1,4 @@
+import argparse
 import json
 import shlex
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 
 from distmlc import cli
 
-from conftest import random_problem
+from conftest import random_problem, rewrite
 
 
 def write_csv_pair(tmp_path, X, Y, prefix="d"):
@@ -123,15 +124,25 @@ class TestTrainPredictEvaluate:
             rec = json.loads(line)
             assert sum(rec["labels"]) <= len(rec["labels"])
 
-    def test_local_rcut_at_train_is_usage_error(self, tmp_path, toy_specs, capsys):
-        # local rank-cut is chosen when decoding, not stored as a threshold
-        train, _ = toy_specs
+    def test_predict_fixed_threshold_relabels_only(self, tmp_path, toy_specs):
+        # a fixed threshold keeps every score and labels exactly scores > T
+        train, test = toy_specs
         model_path = tmp_path / "m.dmlm"
-        assert cli.main([
-            "train", train, "--threshold", "local-rcut", "--out", str(model_path),
-        ]) == 1
-        assert "predict --threshold local-rcut" in capsys.readouterr().err
-        assert not model_path.exists()
+        assert cli.main(["train", train, "--out", str(model_path)]) == 0
+
+        def predict(*flags):
+            out = tmp_path / "p.jsonl"
+            assert cli.main(["predict", str(model_path), test, *flags,
+                             "--out", str(out)]) == 0
+            return [json.loads(line) for line in out.read_text().splitlines()]
+
+        trained = predict()
+        scores = np.array([rec["scores"] for rec in trained])
+        for T in (0.07, float(np.median(scores)), 0.5):
+            fixed = predict("--threshold", repr(T))
+            for rec, old in zip(fixed, trained):
+                assert rec["labels"] == (np.array(rec["scores"]) > T).astype(int).tolist()
+                assert {**rec, "labels": old["labels"]} == old
 
     @pytest.mark.parametrize("method", ["nn-mlm", "lls-mlm", "br-mlm"])
     def test_predict_threshold_is_usage_error_without_ml_mlm(
@@ -170,17 +181,16 @@ class TestTrainPredictEvaluate:
         f.write_text("f0,f1,f2\n")
         l.write_text("y0,y1,y2\n")
         for spec in (f"{f};{l}", str(f)):
-            for command, expected in (("predict", ""), ("distbox", "instance,min_distance\n")):
-                out = tmp_path / f"empty_{command}"
-                assert cli.main([command, str(model_path), spec, "--out", str(out)]) == 0
-                assert out.read_text() == expected
+            out = tmp_path / "empty.jsonl"
+            assert cli.main(["predict", str(model_path), spec, "--out", str(out)]) == 0
+            assert out.read_text() == ""
 
 
 class TestModelDecidesInput:
-    """predict and distbox read the features only, under the training scaler."""
+    """predict reads the features only, under the training scaler."""
 
     @pytest.mark.parametrize("method", ["nn-mlm", "lls-mlm", "br-mlm"])
-    @pytest.mark.parametrize("flag", [["--power", "3"], ["--threshold", "0.9"]])
+    @pytest.mark.parametrize("flag", [["--power", "3"], ["--power", "tuned"]])
     def test_train_power_threshold_usage_error_without_ml_mlm(
             self, tmp_path, toy_specs, capsys, method, flag):
         train, _ = toy_specs
@@ -233,8 +243,7 @@ class TestModelDecidesInput:
             assert report.read_bytes() == (
                 tmp_path / "bench" / f"report_toy_{method}.json").read_bytes()
 
-    @pytest.mark.parametrize("command", ["predict", "distbox"])
-    def test_arff_with_without_manifest_or_labels_same_bytes(self, tmp_path, command):
+    def test_arff_with_without_manifest_or_labels_same_bytes(self, tmp_path):
         rng = np.random.default_rng(94)
         Xtr, Ytr = random_problem(rng, n=20, m=3, l=3)
         Xte, Yte = random_problem(rng, n=5, m=3, l=3)
@@ -247,12 +256,11 @@ class TestModelDecidesInput:
         outs = []
         for i, spec in enumerate([f"{test}@{test_xml}", str(test), str(bare)]):
             outs.append(tmp_path / f"out{i}")
-            assert cli.main([command, str(model_path), spec, "--out", str(outs[-1])]) == 0
+            assert cli.main(["predict", str(model_path), spec, "--out", str(outs[-1])]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
-        assert len(outs[0].read_text().splitlines()) == 5 + (command == "distbox")
+        assert len(outs[0].read_text().splitlines()) == 5
 
-    @pytest.mark.parametrize("command", ["predict", "distbox"])
-    def test_csv_alone_or_paired_same_bytes(self, tmp_path, toy_specs, command):
+    def test_csv_alone_or_paired_same_bytes(self, tmp_path, toy_specs):
         # a single .csv file is read as CSV; a pair's labels file is not read
         train, test = toy_specs
         model_path = tmp_path / "m.dmlm"
@@ -261,9 +269,9 @@ class TestModelDecidesInput:
         outs = []
         for i, spec in enumerate([test, f"{features};", features]):
             outs.append(tmp_path / f"out{i}")
-            assert cli.main([command, str(model_path), spec, "--out", str(outs[-1])]) == 0
+            assert cli.main(["predict", str(model_path), spec, "--out", str(outs[-1])]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
-        assert len(outs[0].read_text().splitlines()) == 7 + (command == "distbox")
+        assert len(outs[0].read_text().splitlines()) == 7
 
     def test_single_csv_labels_last_trains_as_pair(self, tmp_path, toy_specs):
         train, _ = toy_specs
@@ -283,9 +291,9 @@ class TestModelDecidesInput:
         ["predict", "{model}", "{test}", "--labels-xml", "x.xml"],
         ["predict", "{model}", "{test}", "--labels-last", "3"],
         ["predict", "{model}"],
-        ["distbox", "{model}", "{test}", "--scale", "off"],
-        ["distbox", "{model}", "{test}", "--labels-xml", "x.xml"],
-        ["distbox", "{model}", "{test}", "--labels-last", "3"],
+        ["distbox", "{model}", "{test}"],  # predict writes min_distance per row
+        ["train", "{train}", "--threshold", "0.5"],  # predict --threshold sets it
+        ["train", "{train}", "--threshold", "local-rcut"],
         ["evaluate", "{preds}", "{test}", "--format", "json"],
         ["evaluate", "{preds}", "{test}", "--labels-xml", "x.xml"],
         ["benchmark", "--dataset", "toy,{train},{test}", "--labels-xml", "x.xml"],
@@ -305,7 +313,8 @@ class TestModelDecidesInput:
 
 
 def test_readme_cli_lines_parse():
-    """Every distmlc line of the README's CLI block is a valid command line."""
+    """Every distmlc line of the README's CLI block is a valid command line,
+    and the block shows every subcommand and no other."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
@@ -313,6 +322,9 @@ def test_readme_cli_lines_parse():
     parser = cli.build_parser()
     for line in lines:
         parser.parse_args(line[1:])
+    (subcommands,) = [a.choices for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+    assert {line[1] for line in lines} == set(subcommands)
 
 
 class TestBenchmark:
@@ -352,21 +364,6 @@ class TestStatsCommand:
         d = json.loads(out.read_text())
         assert d["methods"] == ["a", "b", "c"]
         assert d["average_ranks"][0] == 1.0
-
-
-class TestDistbox:
-    def test_distbox_csv(self, tmp_path, toy_specs):
-        train, test = toy_specs
-        model_path = tmp_path / "m.dmlm"
-        cli.main(["train", train, "--alpha", "0.1", "--out", str(model_path)])
-        out = tmp_path / "box.csv"
-        assert cli.main([
-            "distbox", str(model_path), test, "--out", str(out),
-        ]) == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "instance,min_distance"
-        assert len(lines) == 8
-        assert all(float(ln.split(",")[1]) >= 0.0 for ln in lines[1:])
 
 
 class TestExitCodes:
@@ -416,3 +413,69 @@ class TestExitCodes:
             "train", spec, "--alpha", "0.0",
             "--out", str(tmp_path / "m.dmlm"),
         ]) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "{train}", "--alpha", "abc"],
+        ["train", "{train}", "--alpha", "-1"],
+        ["train", "{train}", "--power", "xyz"],
+        ["train", "{train}", "--power", "0"],
+        ["predict", "{model}", "{test}", "--threshold", "nope"],
+    ])
+    def test_usage_error_malformed_flag_value(self, tmp_path, toy_specs, capsys, argv):
+        train, test = toy_specs
+        model = tmp_path / "m.dmlm"
+        assert cli.main(["train", train, "--alpha", "0.1", "--out", str(model)]) == 0
+        out = tmp_path / "out"
+        argv = [a.format(train=train, test=test, model=model) for a in argv]
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        assert f"argument {argv[-2]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["manifest", "arff", "csv"])
+    def test_data_error_unreadable_file_names_it(self, tmp_path, toy_specs, capsys, case):
+        train, _ = toy_specs
+        bad = tmp_path / {"manifest": "bad.xml", "arff": "bad.arff", "csv": "bad.csv"}[case]
+        if case == "manifest":
+            bad.write_text("not xml")
+            spec = f"{train.split(';')[0]}@{bad}"
+        else:  # a byte that is not UTF-8, on the first line or a later one
+            bad.write_bytes(b"\xff\xfe" if case == "arff" else b"a,y\n1,\xff\n")
+            spec = str(bad)
+        model = tmp_path / "m.dmlm"
+        assert cli.main(["train", spec, "--labels-last", "1", "--out", str(model)]) == 2
+        assert str(bad) in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("line, why", [
+        ('{"labels": [1, 0, 1]}', "KeyError"),
+        ("not json", "JSONDecodeError"),
+    ], ids=["no-scores", "not-json"])
+    def test_data_error_bad_prediction_record(self, tmp_path, toy_specs, capsys, line, why):
+        train, test = toy_specs
+        model, preds = tmp_path / "m.dmlm", tmp_path / "p.jsonl"
+        cli.main(["train", train, "--alpha", "0.1", "--out", str(model)])
+        cli.main(["predict", str(model), test, "--out", str(preds)])
+        with open(preds, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")  # line 8
+        report = tmp_path / "r.json"
+        assert cli.main(["evaluate", str(preds), test, "--out", str(report)]) == 2
+        assert f"{preds} line 8: not a prediction record ({why}" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_data_error_directory_input(self, tmp_path, toy_specs, capsys):
+        train, _ = toy_specs
+        model, out = tmp_path / "m.dmlm", tmp_path / "p.jsonl"
+        cli.main(["train", train, "--alpha", "0.1", "--out", str(model)])
+        assert cli.main(["predict", str(model), str(tmp_path), "--out", str(out)]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_data_error_unknown_method_in_model(self, tmp_path, toy_specs, capsys):
+        train, test = toy_specs
+        model, out = tmp_path / "m.dmlm", tmp_path / "p.jsonl"
+        cli.main(["train", train, "--method", "nn-mlm", "--alpha", "0.1",
+                  "--out", str(model)])
+        rewrite(model, lambda manifest, arrays: manifest.update(method="foo"))
+        assert cli.main(["predict", str(model), test, "--out", str(out)]) == 2
+        assert "unknown method 'foo'" in capsys.readouterr().err
+        assert not out.exists()

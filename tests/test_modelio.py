@@ -6,7 +6,7 @@ import pytest
 
 from distmlc import modelio, models, tuning
 
-from conftest import random_problem
+from conftest import random_problem, rewrite
 
 
 @pytest.fixture
@@ -111,20 +111,6 @@ class TestErrors:
             modelio.load_model(p)
 
 
-def rewrite(path, edit) -> None:
-    """Rewrite a saved model file after edit(manifest, arrays) changed them in place."""
-    with zipfile.ZipFile(path) as zf:
-        manifest = json.loads(zf.read("manifest.json"))
-        arrays = {name: np.frombuffer(zf.read(name + ".f64"), dtype="<f8").reshape(shape).copy()
-                  for name, shape in manifest["dimensions"].items()}
-    edit(manifest, arrays)
-    manifest["dimensions"] = {name: list(a.shape) for name, a in arrays.items()}
-    with zipfile.ZipFile(path, "w") as zf:
-        zf.writestr("manifest.json", json.dumps(manifest))
-        for name, a in arrays.items():
-            zf.writestr(name + ".f64", a.astype("<f8").tobytes())
-
-
 class TestValidation:
     """load_model refuses a file whose arrays do not make a consistent model."""
 
@@ -181,6 +167,11 @@ class TestValidation:
         def edit(manifest, arrays):
             del arrays["label_coefficients"]
         self.assert_refused(saved, edit, "label_coefficients")
+
+    def test_unknown_method(self, saved):
+        def edit(manifest, arrays):
+            manifest["method"] = "foo"
+        self.assert_refused(saved, edit, "unknown method 'foo'")
 
     @pytest.mark.parametrize("blob", ["references", "coefficients", "label_coefficients"])
     def test_non_finite_blob(self, saved, blob):

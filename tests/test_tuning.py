@@ -225,14 +225,15 @@ class TestTuneMlMlm:
         pred = models.ml_mlm_predict(tuned, X[0])
         assert pred.labels.shape == (4,)
 
-    def test_fixed_modes_skip_search(self):
+    def test_fixed_power_stores_loo_cardinality_threshold(self):
         rng = np.random.default_rng(49)
         X, Y = random_problem(rng, n=15, m=3, l=3)
-        tuned = tuning.tune_ml_mlm(X, Y, alpha_mode=0.1, power_mode=2.0,
-                                   threshold_mode=0.4)
-        assert tuned.power == 2.0
-        assert tuned.threshold == 0.4
-        assert tuned.lrl_curve == ()
+        tuned = tuning.tune_ml_mlm(X, Y, alpha_mode=0.1, power_mode=2.0)
+        model, Dx, Dy, gram, B = models.fit(X, Y, alpha_mode=0.1)
+        loo = tuning.loo_deltas(gram, Dx, Dy, B)
+        scores = models.idw_scores(loo, model.train_labels, 2.0, model.label_counts)
+        assert (tuned.power, tuned.lrl_curve) == (2.0, ())
+        assert tuned.threshold == tuning.cardinality_threshold(scores, Y)
 
     def test_curve_csv(self, tmp_path):
         rng = np.random.default_rng(50)
