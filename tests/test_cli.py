@@ -111,6 +111,16 @@ class TestTrainPredictEvaluate:
             for field in fields:
                 float(field)
 
+    def test_local_rcut_at_train_is_usage_error(self, tmp_path, toy_specs, capsys):
+        # local rank-cut is chosen when decoding; train takes no --threshold
+        train, _ = toy_specs
+        model_path = tmp_path / "m.dmlm"
+        assert cli.main([
+            "train", train, "--threshold", "local-rcut", "--out", str(model_path),
+        ]) == 1
+        assert "unrecognized arguments: --threshold local-rcut" in capsys.readouterr().err
+        assert not model_path.exists()
+
     def test_local_rcut_threshold_flag(self, tmp_path, toy_specs):
         train, test = toy_specs
         model_path = tmp_path / "m.dmlm"
