@@ -77,9 +77,7 @@ def fit_method(method, ds, alpha="auto", power=None):
                                   label_names=names)
     if method == "br-mlm":
         return models.train_br(X, Y, alpha_mode=alpha, label_names=names)
-    if method in ("nn-mlm", "lls-mlm"):
-        return models.train(X, Y, alpha_mode=alpha, label_names=names)
-    raise UsageError(f"unknown method {method!r}")
+    return models.train(X, Y, alpha_mode=alpha, label_names=names)  # nn-mlm, lls-mlm
 
 
 # Rows per predict_dataset chunk: this budget over the bytes of one row's K input
@@ -120,6 +118,8 @@ def write_predictions(preds, path) -> None:
 
 
 def read_predictions(path):
+    """The scores and labels of a predictions file, each an N x L array; every
+    record holds as many scores and labels as the first record's scores."""
     scores, labels = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for n, line in enumerate(fh, start=1):
@@ -127,12 +127,19 @@ def read_predictions(path):
                 continue
             try:
                 rec = json.loads(line)
-                scores.append(rec["scores"])
-                labels.append(rec["labels"])
+                sizes = {field: len(rec[field]) for field in ("scores", "labels")}
             except (ValueError, KeyError, TypeError) as exc:
                 raise dataio.DataFormatError(
                     f"{path} line {n}: not a prediction record "
                     f"({type(exc).__name__}: {exc})") from None
+            if not scores:
+                first, width = n, sizes["scores"]
+            for field, size in sizes.items():
+                if size != width:
+                    raise dataio.DataFormatError(
+                        f"{path} line {n}: {size} {field}, but line {first} has {width} scores")
+            scores.append(rec["scores"])
+            labels.append(rec["labels"])
     if not scores:
         raise dataio.DataFormatError(f"{path}: no prediction records")
     return np.array(scores, dtype=np.float64), np.array(labels, dtype=np.float64)
@@ -163,6 +170,10 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     scores, labels = read_predictions(args.predictions)
     truth = dataio.load_dataset(args.truth, args.labels_last)
+    if labels.shape != truth.labels.shape:
+        raise dataio.DataFormatError(
+            "predictions {} are {} x {} but the truth labels of {} are {} x {}".format(
+                args.predictions, *labels.shape, args.truth, *truth.labels.shape))
     report = metricsmod.evaluate(labels, scores, truth.labels)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
@@ -259,8 +270,19 @@ def _word_or_float(words, check, expected):
     return convert
 
 
+def _positive_int(text):
+    """An argparse type: an int >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value >= 1:
+        return value
+    raise argparse.ArgumentTypeError(f"expected an int >= 1, got {text!r}")
+
+
 def _add_labels_last(p):
-    p.add_argument("--labels-last", type=int, default=None,
+    p.add_argument("--labels-last", type=_positive_int, default=None,
                    help="treat the last L columns of a single-file dataset as labels")
 
 

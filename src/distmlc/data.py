@@ -4,10 +4,23 @@ read_table reads one file, as CSV (a header row) when its name ends in .csv
 and as Mulan-style ARFF (dense or sparse) otherwise. load_dataset builds a
 Dataset from a spec: a features.csv;labels.csv pair, or one file whose label
 columns a Mulan XML manifest names or that ends in labels_last label columns.
+
+Dense rows are read in one float() pass: an ARFF data line split on commas,
+a CSV row as csv.reader frames it. Only a row that pass refuses goes through
+the per-token parser (_split_dense_row, _parse_value): a token float()
+rejects (any quote, '?', an empty token), a wrong token count, or a value
+that is not finite. That parser is the only one that reads quoted tokens or
+words an error, so values, messages and line numbers are the per-token
+parser's. The bits are equal because both paths end in float() on the same
+text: float() strips the whitespace that _parse_value strips, and a line
+without '"' splits on commas as csv.reader(skipinitialspace=True) splits it.
+(One exception: the fast pass accepts an ARFF field longer than
+csv.field_size_limit() that the csv module would refuse.)
 """
 from __future__ import annotations
 
 import csv
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
@@ -100,6 +113,16 @@ def _parse_value(tok: str) -> float:
     return v
 
 
+def _plain_floats(toks) -> list[float] | None:
+    """float() of every token, or None when float() refuses one or a value
+    is not finite; the per-token parser then reads the row."""
+    try:
+        values = [float(t) for t in toks]
+    except ValueError:
+        return None
+    return values if all(map(math.isfinite, values)) else None
+
+
 def read_arff(path) -> tuple[tuple[str, ...], np.ndarray]:
     """Every attribute name of an ARFF file and its N x attributes value
     matrix, rows in file order (0 rows when there is no data line)."""
@@ -140,11 +163,14 @@ def read_arff(path) -> tuple[tuple[str, ...], np.ndarray]:
                                 raise DataFormatError(f"sparse index {idx} out of range")
                             row[idx] = _parse_value(parts[1])
                 else:
-                    toks = _split_dense_row(line)
-                    if len(toks) != n_attrs:
-                        raise DataFormatError(
-                            f"expected {n_attrs} values, got {len(toks)}")
-                    row[:] = [_parse_value(t) for t in toks]
+                    values = _plain_floats(line.split(","))
+                    if values is None or len(values) != n_attrs:
+                        toks = _split_dense_row(line)
+                        if len(toks) != n_attrs:
+                            raise DataFormatError(
+                                f"expected {n_attrs} values, got {len(toks)}")
+                        values = [_parse_value(t) for t in toks]
+                    row[:] = values
                 rows.append(row)
     except (DataFormatError, csv.Error) as exc:
         raise DataFormatError(f"{path} line {lineno}: {exc}") from None
@@ -166,7 +192,8 @@ def read_csv_matrix(path) -> tuple[tuple[str, ...], np.ndarray]:
                     continue
                 if len(row) != len(header):
                     raise DataFormatError("ragged row")
-                rows.append([_parse_value(t) for t in row])
+                values = _plain_floats(row)
+                rows.append([_parse_value(t) for t in row] if values is None else values)
     except (DataFormatError, csv.Error) as exc:
         raise DataFormatError(f"{path} line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:

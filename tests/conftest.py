@@ -8,6 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# pytest --hypothesis-profile=ci runs every property test on a fixed example
+# sequence with no per-example deadline, so a CI failure reproduces.
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 # Mulan-style benchmark files are looked up under $DISTMLC_DATA (default:
 # <repo>/data). Layout per dataset: <name>-train.arff, <name>-test.arff,

@@ -430,6 +430,8 @@ class TestExitCodes:
         ["train", "{train}", "--power", "xyz"],
         ["train", "{train}", "--power", "0"],
         ["predict", "{model}", "{test}", "--threshold", "nope"],
+        ["train", "{train}", "--labels-last", "0"],
+        ["train", "{train}", "--labels-last", "-1"],
     ])
     def test_usage_error_malformed_flag_value(self, tmp_path, toy_specs, capsys, argv):
         train, test = toy_specs
@@ -456,20 +458,30 @@ class TestExitCodes:
         assert str(bad) in capsys.readouterr().err
         assert not model.exists()
 
-    @pytest.mark.parametrize("line, why", [
-        ('{"labels": [1, 0, 1]}', "KeyError"),
-        ("not json", "JSONDecodeError"),
-    ], ids=["no-scores", "not-json"])
-    def test_data_error_bad_prediction_record(self, tmp_path, toy_specs, capsys, line, why):
+    @pytest.mark.parametrize("line, message", [
+        ('{"labels": [1, 0, 1]}', "{preds} line 8: not a prediction record (KeyError"),
+        ("not json", "{preds} line 8: not a prediction record (JSONDecodeError"),
+        ('{"scores": [0.5, 0.5], "labels": [1, 0]}', "{preds} line 8: 2 scores, but line 1 has 3"),
+        ('{"scores": [0.5, 0.5, 0.5], "labels": [1, 0, 1, 0]}',
+         "{preds} line 8: 4 labels, but line 1 has 3 scores"),
+        (None, "predictions {preds} are 7 x 4 but the truth labels of {test} are 7 x 3"),
+    ], ids=["no-scores", "not-json", "ragged-scores", "ragged-labels", "wider-than-truth"])
+    def test_data_error_bad_prediction_record(self, tmp_path, toy_specs, capsys, line, message):
         train, test = toy_specs
         model, preds = tmp_path / "m.dmlm", tmp_path / "p.jsonl"
         cli.main(["train", train, "--alpha", "0.1", "--out", str(model)])
         cli.main(["predict", str(model), test, "--out", str(preds)])
-        with open(preds, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")  # line 8
+        if line is None:  # every record one label wider than the truth set
+            records = [json.loads(r) for r in preds.read_text().splitlines()]
+            preds.write_text("".join(json.dumps(
+                {**r, "scores": r["scores"] + [0.5], "labels": r["labels"] + [0]}) + "\n"
+                for r in records))
+        else:
+            with open(preds, "a", encoding="utf-8") as fh:
+                fh.write(line + "\n")  # line 8
         report = tmp_path / "r.json"
         assert cli.main(["evaluate", str(preds), test, "--out", str(report)]) == 2
-        assert f"{preds} line 8: not a prediction record ({why}" in capsys.readouterr().err
+        assert message.format(preds=preds, test=test) in capsys.readouterr().err
         assert not report.exists()
 
     def test_data_error_directory_input(self, tmp_path, toy_specs, capsys):

@@ -1,7 +1,10 @@
+import csv
 import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from distmlc import data as dataio
 
@@ -41,6 +44,10 @@ MANIFEST = """\
   <label name="labelB"/>
 </labels>
 """
+
+
+# the header of a two-attribute ARFF whose data starts on line 5
+HEAD = "@relation r\n@attribute a numeric\n@attribute l {0,1}\n@data\n"
 
 
 @pytest.fixture
@@ -89,17 +96,24 @@ class TestParseArff:
             dataio.load_dataset(str(p), labels_last=1)
         assert f"{p} line 2" in str(err.value)
 
-    @pytest.mark.parametrize("text, where", [
-        ("@relation r\n@attribute 'a numeric\n@data\n", "line 2"),
-        ("@relation r\n@attribute a numeric\n@attribute l {0,1}\n@data\n1,x\n", "line 5"),
-        ("@relation r\n@attribute a numeric\n@attribute l {0,1}\n@data\n{x 1}\n", "line 5"),
-        ("@relation r\n@attribute a numeric\n@attribute l {0,1}\n@data\n{7 1}\n", "line 5"),
-        ("a,l\n1,0\n", "line 1"),
-    ], ids=["unterminated-name", "non-numeric", "sparse-index", "sparse-range", "csv-text"])
-    def test_errors_name_file_and_line(self, tmp_path, text, where):
+    @pytest.mark.parametrize("text, message", [
+        ("@relation r\n@attribute 'a numeric\n@data\n", "line 2: unterminated attribute name"),
+        (HEAD + "1,x\n", "line 5: non-numeric value 'x'"),
+        (HEAD + "{x 1}\n", "line 5: malformed sparse entry 'x 1'"),
+        (HEAD + "{7 1}\n", "line 5: sparse index 7 out of range"),
+        ("a,l\n1,0\n", "line 1: not an ARFF header line"),
+        (HEAD + "1,0\nnan,1\n", "line 6: non-finite value 'nan'"),
+        (HEAD + "1,0\n1, -inf\n", "line 6: non-finite value '-inf'"),
+        (HEAD + "1,0,\n", "line 5: expected 2 values, got 3"),
+        (HEAD + "?,1\n", "line 5: missing value"),
+        (HEAD + '"1,2",1\n', "line 5: non-numeric value '1,2'"),
+        (HEAD + "1,0\n \t \n1,y\n", "line 7: non-numeric value 'y'"),
+    ], ids=["unterminated-name", "non-numeric", "sparse-index", "sparse-range", "csv-text",
+            "nan", "inf", "trailing-comma", "question-mark", "quoted-comma", "blank-line"])
+    def test_errors_name_file_and_line(self, tmp_path, text, message):
         p = tmp_path / "bad.arff"
         p.write_text(text)
-        with pytest.raises(dataio.DataFormatError, match="^" + re.escape(f"{p} {where}: ")):
+        with pytest.raises(dataio.DataFormatError, match="^" + re.escape(f"{p} {message}") + "$"):
             dataio.load_dataset(str(p), labels_last=1)
 
     def test_manifest_label_missing_from_header(self, dense_file, tmp_path):
@@ -195,6 +209,56 @@ class TestReadTable:
     def test_spec_without_label_columns_refused(self, dense_file):
         with pytest.raises(dataio.SpecError):
             dataio.load_dataset(str(dense_file))
+
+
+def per_token_reference(path):
+    """The names and values of a dense ARFF or CSV file, each token framed by
+    csv.reader, stripped of whitespace and quotes and read with float()."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        text = fh.read().splitlines()
+    if path.suffix == ".csv":
+        names, *rows = csv.reader(text)
+    else:
+        names = [line.split()[1] for line in text if line.startswith("@attribute")]
+        rows = [next(csv.reader([line.strip()], skipinitialspace=True))
+                for line in text[text.index("@data") + 1:] if line.strip()]
+    values = [[float(t.strip().strip("'\"")) for t in row] for row in rows]
+    return tuple(names), np.array(values, dtype=np.float64).reshape(len(rows), len(names))
+
+
+FLOAT_SPELLINGS = (repr, "{:e}".format, "{:.3E}".format, "{:.17g}".format)
+INT_SPELLINGS = (str, lambda i: "-" * (i < 0) + "_".join(str(abs(i))))  # 123 -> 1_2_3
+numbers = st.one_of(
+    st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(FLOAT_SPELLINGS)),
+    st.tuples(st.integers(-10**6, 10**6), st.sampled_from(INT_SPELLINGS)),
+)
+
+
+@st.composite
+def dense_token(draw):
+    value, spell = draw(numbers)
+    pad = st.sampled_from(["", " ", "  "])
+    quote = draw(st.sampled_from(["", "", "'", '"']))
+    return draw(pad) + quote + draw(pad) + spell(value) + draw(pad) + quote + draw(pad)
+
+
+class TestFloatPass:
+    @given(cols=st.integers(1, 5), data=st.data())
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_values_bit_identical_to_per_token_reference(self, tmp_path, cols, data):
+        names = [f"a{j}" for j in range(cols)]
+        rows = data.draw(st.lists(st.lists(dense_token(), min_size=cols, max_size=cols),
+                                  min_size=1, max_size=6))
+        arff, csv_file = tmp_path / "t.arff", tmp_path / "t.csv"
+        arff.write_text("@relation r\n" + "".join(f"@attribute {n} numeric\n" for n in names)
+                        + "@data\n" + "".join(",".join(r) + "\n" for r in rows))
+        csv_file.write_text(",".join(names) + "\n" + "".join(",".join(r) + "\n" for r in rows))
+        for path in (arff, csv_file):
+            got_names, got = dataio.read_table(path)
+            ref_names, ref = per_token_reference(path)
+            assert got_names == ref_names == tuple(names)
+            assert got.shape == ref.shape == (len(rows), cols)
+            np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 class TestScaling:
