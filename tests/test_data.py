@@ -254,8 +254,14 @@ class TestFloatPass:
                         + "@data\n" + "".join(",".join(r) + "\n" for r in rows))
         csv_file.write_text(",".join(names) + "\n" + "".join(",".join(r) + "\n" for r in rows))
         for path in (arff, csv_file):
-            got_names, got = dataio.read_table(path)
             ref_names, ref = per_token_reference(path)
+            if not np.isfinite(ref).all():
+                # a spelling such as '{:.3E}' of the largest float rounds past it
+                # and reads as inf, which both paths refuse
+                with pytest.raises(dataio.DataFormatError, match="non-finite value"):
+                    dataio.read_table(path)
+                continue
+            got_names, got = dataio.read_table(path)
             assert got_names == ref_names == tuple(names)
             assert got.shape == ref.shape == (len(rows), cols)
             np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
