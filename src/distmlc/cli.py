@@ -16,6 +16,11 @@ one of the model's labels (an @labels.xml suffix is ignored), and applies the
 min-max scaler that train --scale stored in the model. A header-only input
 predicts to an empty output. predict alone writes the per-row outputs and
 sets a fixed threshold; train stores the LOO cardinality threshold.
+
+modelio.method_functions maps a method name to its trainer and decoder; this
+module keeps only the rules for the ml-mlm-only flags (--power, --threshold,
+and --curve-out, which also needs a tuned power) and predict's row chunking.
+benchmark --methods names each method once.
 """
 from __future__ import annotations
 
@@ -32,7 +37,7 @@ from . import data as dataio
 from . import metrics as metricsmod
 from . import models, stats, tuning
 from .linalg import SingularSystemError
-from .modelio import METHODS, ModelFileError, base_model, load_model, save_model
+from .modelio import METHODS, ModelFileError, base_model, load_model, method_functions, save_model
 
 # the keys of a prediction record, in file order
 PREDICTION_FIELDS = ("scores", "labels", "min_distance", "uncertainty")
@@ -68,16 +73,11 @@ def load_features(spec, manifest):
 def fit_method(method, ds, alpha="auto", power=None):
     """Train one model of the requested kind on a Dataset; alpha is "auto" or
     a float, power None (the ml-mlm default), "tuned" or a float."""
-    X, Y, names = ds.features, ds.labels, ds.label_names
     if method != "ml-mlm" and power is not None:
         raise UsageError(f"--power applies to ml-mlm only, not to {method}")
-    if method == "ml-mlm":
-        return tuning.tune_ml_mlm(X, Y, alpha_mode=alpha,
-                                  power_mode="tuned" if power is None else power,
-                                  label_names=names)
-    if method == "br-mlm":
-        return models.train_br(X, Y, alpha_mode=alpha, label_names=names)
-    return models.train(X, Y, alpha_mode=alpha, label_names=names)  # nn-mlm, lls-mlm
+    train = method_functions(method)[0]
+    extra = {} if power is None else {"power_mode": power}
+    return train(ds.features, ds.labels, alpha_mode=alpha, label_names=ds.label_names, **extra)
 
 
 # Rows per predict_dataset chunk: this budget over the bytes of one row's K input
@@ -89,22 +89,14 @@ PREDICT_CHUNK_BYTES = 1 << 20
 def predict_dataset(method, model, X, threshold=None) -> models.Prediction:
     """Batch predictions (Q-row arrays) for every row of X, in row chunks; an
     ml-mlm threshold is None or "cardinality" (the model's), "local-rcut" or a float."""
-    decode = {
-        "ml-mlm": models.ml_mlm_predict,
-        "nn-mlm": models.nn_mlm_predict,
-        "lls-mlm": models.lls_mlm_predict,
-        "br-mlm": models.br_mlm_predict,
-    }[method]
     if threshold is not None and method != "ml-mlm":
         raise UsageError(f"--threshold applies to ml-mlm only, not to {method}")
-    if threshold == "local-rcut":
-        decode = models.ml_mlm_predict_rcut
-    elif threshold not in (None, "cardinality"):
-        model = replace(model, threshold=threshold, lrl_curve=())
+    decode = method_functions(method)[1]
+    extra = {} if threshold is None else {"threshold": threshold}
     K, U = base_model(model).coefficients.shape
     step = max(1, PREDICT_CHUNK_BYTES // (8 * (K + U)))
     # a 0-row X decodes once, to an empty Prediction
-    parts = [decode(model, X[i:i + step]) for i in range(0, max(X.shape[0], 1), step)]
+    parts = [decode(model, X[i:i + step], **extra) for i in range(0, max(X.shape[0], 1), step)]
     return models.Prediction(*(np.concatenate([getattr(p, name) for p in parts])
                                for name in PREDICTION_FIELDS))
 
@@ -119,7 +111,7 @@ def write_predictions(preds, path) -> None:
 
 def read_predictions(path):
     """The scores and labels of a predictions file, each an N x L array; every
-    record holds as many scores and labels as the first record's scores."""
+    record holds finite scores and 0/1 labels, as many as the first record's scores."""
     scores, labels = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for n, line in enumerate(fh, start=1):
@@ -127,27 +119,37 @@ def read_predictions(path):
                 continue
             try:
                 rec = json.loads(line)
-                sizes = {field: len(rec[field]) for field in ("scores", "labels")}
-            except (ValueError, KeyError, TypeError) as exc:
+                s, y = (np.array(rec[field], dtype=np.float64) for field in ("scores", "labels"))
+                if s.ndim != 1 or y.ndim != 1:
+                    raise ValueError("scores and labels must be lists of numbers")
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 raise dataio.DataFormatError(
                     f"{path} line {n}: not a prediction record "
                     f"({type(exc).__name__}: {exc})") from None
             if not scores:
-                first, width = n, sizes["scores"]
-            for field, size in sizes.items():
+                first, width = n, s.size
+            for field, size in (("scores", s.size), ("labels", y.size)):
                 if size != width:
                     raise dataio.DataFormatError(
                         f"{path} line {n}: {size} {field}, but line {first} has {width} scores")
-            scores.append(rec["scores"])
-            labels.append(rec["labels"])
+            if not np.all(np.isfinite(s)):
+                raise dataio.DataFormatError(f"{path} line {n}: a score is not finite")
+            if not np.all((y == 0.0) | (y == 1.0)):
+                raise dataio.DataFormatError(f"{path} line {n}: a label is not 0 or 1")
+            scores.append(s)
+            labels.append(y)
     if not scores:
         raise dataio.DataFormatError(f"{path}: no prediction records")
-    return np.array(scores, dtype=np.float64), np.array(labels, dtype=np.float64)
+    return np.array(scores), np.array(labels)
 
 
 # ---------------------------------------------------------------- commands
 
 def cmd_train(args) -> int:
+    if args.curve_out and (args.method != "ml-mlm" or args.power not in (None, "tuned")):
+        fixed = "" if args.power is None else f" with --power {args.power}"
+        raise UsageError(f"--curve-out needs ml-mlm with a tuned power; "
+                         f"{args.method}{fixed} searches no power")
     ds = dataio.load_dataset(args.data, args.labels_last)
     scale = dataio.min_max_bounds(ds.features) if args.scale == "minmax" else None
     model = fit_method(
@@ -155,7 +157,7 @@ def cmd_train(args) -> int:
         alpha=args.alpha, power=args.power,
     )
     save_model(args.out, model, args.method, scale)
-    if args.curve_out and args.method == "ml-mlm" and model.lrl_curve:
+    if args.curve_out:
         tuning.lrl_curve_csv(model.lrl_curve, args.curve_out)
     return EXIT_OK
 
@@ -192,9 +194,11 @@ def _parse_dataset_arg(entry: str):
 
 def cmd_benchmark(args) -> int:
     methods = args.methods.split(",")
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in METHODS:
             raise UsageError(f"unknown method {m!r}")
+        if m in methods[:i]:
+            raise UsageError(f"--methods names {m} twice")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     names, rows = [], []
@@ -310,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ml-mlm only: tuned (the default) or a fixed float > 0")
     p.add_argument("--out", required=True)
     p.add_argument("--curve-out", default=None,
-                   help="also write the power-search curve as CSV")
+                   help="ml-mlm with a tuned power only: write the power-search curve as CSV")
     _add_data_flags(p)
     p.set_defaults(func=cmd_train)
 

@@ -1,4 +1,7 @@
-"""Model file persistence.
+"""Model files, and the code behind each method name.
+
+METHODS names the four methods a model file may hold; method_functions gives
+each one's trainer and decoder, and load_model rebuilds each one's model.
 
 A model file is a zip archive holding a versioned JSON manifest plus
 row-major little-endian float64 blobs for each array. Writing is fully
@@ -23,6 +26,7 @@ import zipfile
 
 import numpy as np
 
+from . import models, tuning
 from .models import BrMlmModel, DistanceModel
 from .tuning import TunedMlMlm
 
@@ -89,6 +93,18 @@ def save_model(path, model, method: str, scale: dict | None = None) -> None:
         "scale": scale,
     }
     _write(path, manifest, blobs)
+
+
+def method_functions(method: str):
+    """(train, predict) of a method: train(X, Y, alpha_mode=, label_names=[, power_mode=])
+    and predict(model, x[, threshold=]), the brackets for ml-mlm only. Built on each
+    call, so that a function rebound in its module after import is the one returned."""
+    return {
+        "ml-mlm": (tuning.tune_ml_mlm, models.ml_mlm_predict),
+        "nn-mlm": (models.train, models.nn_mlm_predict),
+        "lls-mlm": (models.train, models.lls_mlm_predict),
+        "br-mlm": (models.train_br, models.br_mlm_predict),
+    }[method]
 
 
 def _check_arrays(arrays: dict, manifest: dict) -> None:
@@ -159,14 +175,8 @@ def load_model(path):
         label_counts=arrays["label_counts"],
     )
     if method == "ml-mlm":
-        model = TunedMlMlm(
-            model=base,
-            power=float(manifest["P"]),
-            threshold=float(manifest["t"]),
-            lrl_curve=(),
-        )
-    elif method == "br-mlm":
-        model = BrMlmModel(base=base, label_coefficients=arrays["label_coefficients"])
-    else:
-        model = base
-    return model, manifest
+        return TunedMlMlm(model=base, power=float(manifest["P"]),
+                          threshold=float(manifest["t"]), lrl_curve=()), manifest
+    if method == "br-mlm":
+        return BrMlmModel(base=base, label_coefficients=arrays["label_coefficients"]), manifest
+    return base, manifest

@@ -316,18 +316,20 @@ def nn_mlm_predict(model: DistanceModel, x) -> Prediction:
     return _finish(rows, rows, deltas, one_row)
 
 
-def ml_mlm_predict(tuned, x) -> Prediction:
-    """IDW-scored prediction with the tuned power and global threshold."""
+def ml_mlm_predict(tuned, x, threshold=None) -> Prediction:
+    """IDW-scored prediction with the tuned power. threshold is None or
+    "cardinality" (labels are scores above the tuned threshold), a float
+    (scores above it), or "local-rcut" (each row's top k scores, k the label
+    count of its nearest reference); the scores are the same in every case."""
     deltas, one_row = _deltas(tuned.model, x)
     scores = idw_ratio(log_distances(deltas), tuned.model.label_weights, tuned.power)
-    return _finish(scores, scores > tuned.threshold, deltas, one_row)
-
-
-def ml_mlm_predict_rcut(tuned, x) -> Prediction:
-    """IDW-scored prediction thresholded by the nearest-reference cardinality."""
-    deltas, one_row = _deltas(tuned.model, x)
-    scores = idw_ratio(log_distances(deltas), tuned.model.label_weights, tuned.power)
-    return _finish_rank_cut(scores, tuned.model, deltas, one_row)
+    if threshold == "local-rcut":
+        return _finish_rank_cut(scores, tuned.model, deltas, one_row)
+    if threshold in (None, "cardinality"):
+        threshold = tuned.threshold
+    elif isinstance(threshold, str):
+        raise ValueError(f"threshold is cardinality, local-rcut or a float, not {threshold!r}")
+    return _finish(scores, scores > threshold, deltas, one_row)
 
 
 def lls_scores(model: DistanceModel, deltas) -> np.ndarray:

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import DataFormatError
+
 LOWER_BETTER = "lower_better"
 HIGHER_BETTER = "higher_better"
 
@@ -44,17 +46,31 @@ class ResultTable:
 
     @classmethod
     def from_csv(cls, path, direction: str) -> "ResultTable":
+        """Read a table whose header names each method once and whose every
+        other row is a dataset name and one number per method."""
         with open(path, "r", newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, None)
+            if header is None:
+                raise DataFormatError(f"{path}: no header row")
             methods = tuple(header[1:])
+            for i, name in enumerate(methods):
+                if name in methods[:i]:
+                    raise DataFormatError(f"{path} line 1: method {name!r} appears twice")
             datasets = []
             rows = []
             for row in reader:
                 if not row:
                     continue
+                where = f"{path} line {reader.line_num}"
+                if len(row) != len(header):
+                    raise DataFormatError(f"{where}: {len(row)} cells, but the header has "
+                                          f"{len(header)}")
                 datasets.append(row[0])
-                rows.append([float(v) for v in row[1:]])
+                try:
+                    rows.append([float(v) for v in row[1:]])
+                except ValueError as exc:
+                    raise DataFormatError(f"{where}: {exc}") from None
         return cls(
             methods=methods,
             datasets=tuple(datasets),

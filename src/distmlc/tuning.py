@@ -4,7 +4,7 @@ The ridge system is solved once; leverage values then give every
 out-of-sample distance prediction directly, so the power-parameter grid
 search and the cardinality-based threshold both reuse a single training
 pass. The stored threshold is always this cardinality threshold; a fixed
-one is applied when decoding (cli.predict_dataset).
+one is applied when decoding (models.ml_mlm_predict's threshold).
 """
 from __future__ import annotations
 

@@ -76,7 +76,7 @@ def api_outputs(problem: dict) -> dict:
     br = models.train_br(X, Y)
     calls = {
         "ml-mlm": lambda x: models.ml_mlm_predict(tuned, x),
-        "ml-mlm-rcut": lambda x: models.ml_mlm_predict_rcut(tuned, x),
+        "ml-mlm-rcut": lambda x: models.ml_mlm_predict(tuned, x, threshold="local-rcut"),
         "nn-mlm": lambda x: models.nn_mlm_predict(base, x),
         "lls-mlm": lambda x: models.lls_mlm_predict(base, x),
         "br-mlm": lambda x: models.br_mlm_predict(br, x),

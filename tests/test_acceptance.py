@@ -264,7 +264,7 @@ class TestCriterion6:
         tuned, train, test = tuned_on("medical")
         nn_model = models.train(train.features, train.labels)
         rcut = np.vstack([
-            models.ml_mlm_predict_rcut(tuned, x).labels for x in test.features
+            models.ml_mlm_predict(tuned, x, threshold="local-rcut").labels for x in test.features
         ])
         nn = np.vstack([
             models.nn_mlm_predict(nn_model, x).labels for x in test.features

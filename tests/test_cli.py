@@ -200,15 +200,27 @@ class TestModelDecidesInput:
     """predict reads the features only, under the training scaler."""
 
     @pytest.mark.parametrize("method", ["nn-mlm", "lls-mlm", "br-mlm"])
-    @pytest.mark.parametrize("flag", [["--power", "3"], ["--power", "tuned"]])
+    @pytest.mark.parametrize("flag", [["--power", "3"], ["--power", "tuned"],
+                                      ["--curve-out", "{tmp}/curve.csv"]])
     def test_train_power_threshold_usage_error_without_ml_mlm(
             self, tmp_path, toy_specs, capsys, method, flag):
         train, _ = toy_specs
         model_path = tmp_path / "m.dmlm"
+        flag = [f.format(tmp=tmp_path) for f in flag]
         assert cli.main(["train", train, "--method", method, *flag,
                          "--out", str(model_path)]) == 1
         assert method in capsys.readouterr().err
         assert not model_path.exists()
+        assert not (tmp_path / "curve.csv").exists()
+
+    def test_curve_out_usage_error_with_fixed_power(self, tmp_path, toy_specs, capsys):
+        # a fixed power searches no power, so there is no curve to write
+        train, _ = toy_specs
+        model_path, curve = tmp_path / "m.dmlm", tmp_path / "curve.csv"
+        assert cli.main(["train", train, "--power", "2", "--curve-out", str(curve),
+                         "--out", str(model_path)]) == 1
+        assert "--curve-out needs ml-mlm with a tuned power" in capsys.readouterr().err
+        assert not model_path.exists() and not curve.exists()
 
     @pytest.mark.parametrize("method", cli.METHODS)
     def test_one_row_predicts_as_inside_full_file(self, tmp_path, method):
@@ -357,6 +369,15 @@ class TestBenchmark:
         header = csv1.decode().splitlines()[0]
         assert header.startswith("dataset,method,hamming_loss")
 
+    @pytest.mark.parametrize("methods", ["ml-mlm,ml-mlm", "nn-mlm,ml-mlm,nn-mlm"])
+    def test_repeated_method_is_usage_error(self, tmp_path, toy_specs, capsys, methods):
+        train, test = toy_specs
+        out_dir = tmp_path / "run"
+        assert cli.main(["benchmark", "--dataset", f"toy,{train},{test}",
+                         "--methods", methods, "--out-dir", str(out_dir)]) == 1
+        assert "names" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestStatsCommand:
     def test_stats_json(self, tmp_path):
@@ -374,6 +395,22 @@ class TestStatsCommand:
         d = json.loads(out.read_text())
         assert d["methods"] == ["a", "b", "c"]
         assert d["average_ranks"][0] == 1.0
+
+    @pytest.mark.parametrize("text, message", [
+        ("dataset,a,b\nd1,0.1,0.2\nd2,0.2,x\n",
+         "{table} line 3: could not convert string to float: 'x'"),
+        ("dataset,a,b\nd1,0.1,0.2\nd2,0.2\n", "{table} line 3: 2 cells, but the header has 3"),
+        ("dataset,a,b\nd1,0.1,0.2,0.3\nd2,0.2,0.3\n",
+         "{table} line 2: 4 cells, but the header has 3"),
+        ("dataset,a,a\nd1,0.1,0.2\nd2,0.2,0.3\n", "{table} line 1: method 'a' appears twice"),
+        ("", "{table}: no header row"),
+    ], ids=["non-numeric", "short-row", "long-row", "repeated-method", "empty"])
+    def test_malformed_table_is_data_error(self, tmp_path, capsys, text, message):
+        table, out = tmp_path / "t.csv", tmp_path / "cd.json"
+        table.write_text(text)
+        assert cli.main(["stats", str(table), "--direction", "lower", "--out", str(out)]) == 2
+        assert message.format(table=table) in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExitCodes:
@@ -465,7 +502,16 @@ class TestExitCodes:
         ('{"scores": [0.5, 0.5, 0.5], "labels": [1, 0, 1, 0]}',
          "{preds} line 8: 4 labels, but line 1 has 3 scores"),
         (None, "predictions {preds} are 7 x 4 but the truth labels of {test} are 7 x 3"),
-    ], ids=["no-scores", "not-json", "ragged-scores", "ragged-labels", "wider-than-truth"])
+        ('{"scores": ["a", 0.5, 0.5], "labels": [1, 0, 1]}',
+         "{preds} line 8: not a prediction record (ValueError: could not convert string"),
+        ('{"scores": [[1], 0.5, 0.5], "labels": [1, 0, 1]}',
+         "{preds} line 8: not a prediction record (ValueError: "),
+        ('{"scores": [NaN, 0.5, 0.5], "labels": [1, 0, 1]}',
+         "{preds} line 8: a score is not finite"),
+        ('{"scores": [0.5, 0.5, 0.5], "labels": [2, 0, 1]}',
+         "{preds} line 8: a label is not 0 or 1"),
+    ], ids=["no-scores", "not-json", "ragged-scores", "ragged-labels", "wider-than-truth",
+            "non-numeric-score", "nested-score", "nan-score", "label-2"])
     def test_data_error_bad_prediction_record(self, tmp_path, toy_specs, capsys, line, message):
         train, test = toy_specs
         model, preds = tmp_path / "m.dmlm", tmp_path / "p.jsonl"

@@ -58,6 +58,35 @@ class TestRoundTrip:
         assert (loaded.coefficients == model.coefficients).all()
 
 
+@pytest.mark.parametrize("method", modelio.METHODS)
+def test_every_method_predicts_the_same_after_save_and_load(problem, tmp_path, method):
+    X, Y = problem
+    train, predict = modelio.method_functions(method)
+    model = train(X, Y, alpha_mode=0.1, label_names=("a", "b", "c"))
+    p = tmp_path / "m.dmlm"
+    modelio.save_model(p, model, method)
+    loaded, manifest = modelio.load_model(p)
+    assert manifest["method"] == method
+    for x in (X, X[0]):
+        a, b = predict(model, x), predict(loaded, x)
+        for field in ("scores", "labels", "min_distance", "uncertainty"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+def test_ml_mlm_fixed_threshold_keeps_scores(problem):
+    X, Y = problem
+    tuned = tuning.tune_ml_mlm(X, Y, alpha_mode=0.1)
+    stored = models.ml_mlm_predict(tuned, X)
+    assert np.array_equal(models.ml_mlm_predict(tuned, X, threshold="cardinality").labels,
+                          stored.labels)
+    for t in (0.0, float(np.median(stored.scores)), 0.5, 1.0):
+        fixed = models.ml_mlm_predict(tuned, X, threshold=t)
+        assert np.array_equal(fixed.scores, stored.scores)
+        assert np.array_equal(fixed.labels, stored.scores > t)
+    with pytest.raises(ValueError, match="threshold is cardinality, local-rcut or a float"):
+        models.ml_mlm_predict(tuned, X, threshold="local_rcut")
+
+
 class TestDeterminism:
     def test_same_model_same_bytes(self, problem, tmp_path):
         X, Y = problem

@@ -141,7 +141,7 @@ class TestQueryContract:
     CALLS = {
         "deltas": lambda tuned, br, x: models.predict_deltas(tuned.model, x),
         "ml": lambda tuned, br, x: models.ml_mlm_predict(tuned, x),
-        "ml-rcut": lambda tuned, br, x: models.ml_mlm_predict_rcut(tuned, x),
+        "ml-rcut": lambda tuned, br, x: models.ml_mlm_predict(tuned, x, threshold="local-rcut"),
         "nn": lambda tuned, br, x: models.nn_mlm_predict(tuned.model, x),
         "lls": lambda tuned, br, x: models.lls_mlm_predict(tuned.model, x),
         "br": lambda tuned, br, x: models.br_mlm_predict(br, x),
@@ -474,7 +474,7 @@ def test_large_power_limit_matches_nearest_reference():
         if d_sorted[0] == d_sorted[1]:
             continue
         nn = models.nn_mlm_predict(model, x)
-        rcut = models.ml_mlm_predict_rcut(tuned, x)
+        rcut = models.ml_mlm_predict(tuned, x, threshold="local-rcut")
         np.testing.assert_array_equal(rcut.labels, nn.labels)
 
 
@@ -485,7 +485,7 @@ def test_matrix_query_matches_one_row_queries(decoder):
     tuned = tune_ml_mlm(X, Y, alpha_mode=0.1)
     call, model = {
         "ml": (models.ml_mlm_predict, tuned),
-        "ml-rcut": (models.ml_mlm_predict_rcut, tuned),
+        "ml-rcut": (lambda m, x: models.ml_mlm_predict(m, x, threshold="local-rcut"), tuned),
         "nn": (models.nn_mlm_predict, tuned.model),
         "lls": (models.lls_mlm_predict, tuned.model),
         "br": (models.br_mlm_predict, models.train_br(X, Y, alpha_mode=0.1)),
@@ -596,8 +596,8 @@ class TestUniqueLabelVectors:
             W = np.exp(logw - logw.max(axis=1, keepdims=True))
             scores = (W @ Y) / W.sum(axis=1, keepdims=True)
             labels = scores > tuned.threshold if decoder == "ml" else local_rcut(scores, k_cut)
-            call = models.ml_mlm_predict if decoder == "ml" else models.ml_mlm_predict_rcut
-            pred = call(tuned, Q)
+            threshold = None if decoder == "ml" else "local-rcut"
+            pred = models.ml_mlm_predict(tuned, Q, threshold=threshold)
         elif decoder == "nn":
             scores = labels = Y[nearest]
             pred = models.nn_mlm_predict(tuned.model, Q)
