@@ -20,7 +20,7 @@ sets a fixed threshold; train stores the LOO cardinality threshold.
 modelio.method_functions maps a method name to its trainer and decoder; this
 module keeps only the rules for the ml-mlm-only flags (--power, --threshold,
 and --curve-out, which also needs a tuned power) and predict's row chunking.
-benchmark --methods names each method once.
+benchmark --methods names each method once, and --dataset each dataset name once.
 """
 from __future__ import annotations
 
@@ -199,18 +199,21 @@ def cmd_benchmark(args) -> int:
             raise UsageError(f"unknown method {m!r}")
         if m in methods[:i]:
             raise UsageError(f"--methods names {m} twice")
+    datasets = [_parse_dataset_arg(entry) for entry in args.dataset]
+    names = [name for name, _, _ in datasets]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise UsageError(f"--dataset names {name} twice")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    names, rows = [], []
-    for entry in args.dataset:
-        name, train_spec, test_spec = _parse_dataset_arg(entry)
+    rows = []
+    for name, train_spec, test_spec in datasets:
         train_ds = dataio.load_dataset(train_spec, args.labels_last)
         test_ds = dataio.load_dataset(test_spec, args.labels_last)
         # test rows are scaled by the training bounds, as train and predict do
         scale = dataio.min_max_bounds(train_ds.features) if args.scale == "minmax" else None
         train_ds = replace(train_ds, features=apply_scale(train_ds.features, scale))
         test_X = apply_scale(test_ds.features, scale)
-        names.append(name)
         per_method = {}
         for method in methods:
             model = fit_method(method, train_ds)

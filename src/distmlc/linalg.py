@@ -4,6 +4,10 @@ Pairwise Euclidean distances, ridge-regularized least squares, and the
 leverages that closed-form leave-one-out predictions need. Everything is
 float64 and deterministic: repeated calls with identical inputs give
 bit-identical results.
+
+Distances between integer-valued rows come from exact integer arithmetic
+when their sums stay below 2**53 (see euclidean), so they have cdist's bits
+in any batch and at any BLAS thread count; other inputs go to cdist.
 """
 from __future__ import annotations
 
@@ -33,14 +37,44 @@ def pairwise_distances(A, B) -> np.ndarray:
         raise ValueError(
             f"column mismatch: A has {A.shape[1]} columns, B has {B.shape[1]}"
         )
-    return _euclidean(A, B)
+    return euclidean(A, B, integer_norms(B))
 
 
-def _euclidean(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """pairwise_distances of float64 matrices that the caller has checked."""
-    # cdist sums squared differences directly (no a^2+b^2-2ab shortcut),
-    # so entries are exact to rounding and never negative under the sqrt.
-    return cdist(A, B, metric="euclidean")
+def integer_norms(A: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """The squared row norms and the largest |entry| of a finite float64 matrix
+    whose entries are all integers; None if any entry is not."""
+    v = A[A != 0.0]
+    if not np.array_equal(v, np.rint(v)):
+        return None
+    return np.einsum("ij,ij->i", A, A), float(np.abs(v).max(initial=0.0))
+
+
+def euclidean(A: np.ndarray, B: np.ndarray,
+              b_norms: tuple[np.ndarray, float] | None) -> np.ndarray:
+    """Distances between the rows of A (Q x M) and of B (K x M), finite float64
+    matrices that the caller has checked; b_norms is integer_norms(B).
+
+    cdist sums squared differences. When A and B are integer-valued and
+    4*M*m**2 < 2**53, m their largest |entry|, |a|^2 + |b|^2 - 2 a.b gives
+    the same sum instead: every product and partial sum is an integer below
+    2**53, exact in any order, so the sqrt has cdist's bits whatever the
+    batch, the column subset or the BLAS thread count. When at most half
+    the columns hold a nonzero of A, the product runs over those alone,
+    which makes a sparse row's query O(nonzeros x K).
+    """
+    a_norms = None if b_norms is None else integer_norms(A)
+    # in floats the bound is exact below 2**53, and rounding is monotone above
+    if a_norms is None or 4 * A.shape[1] * max(a_norms[1], b_norms[1]) ** 2 >= 2.0**53:
+        return cdist(A, B, metric="euclidean")
+    cols = np.flatnonzero((A != 0.0).any(axis=0))
+    if 2 * cols.size <= A.shape[1]:
+        # denser, the copy of B's columns costs more time and memory than it saves
+        A, B = A[:, cols], B[:, cols]
+    d2 = A @ B.T
+    d2 *= -2.0
+    d2 += a_norms[0][:, None]
+    d2 += b_norms[0]
+    return np.sqrt(d2, out=d2)
 
 
 class RegularizedGram:

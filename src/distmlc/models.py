@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import SingularSystemError, _euclidean, fit_ridge, pairwise_distances
+from .linalg import SingularSystemError, euclidean, fit_ridge, integer_norms, pairwise_distances
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -67,6 +67,13 @@ class DistanceModel:
     def label_weights(self) -> np.ndarray:
         """label_weights(train_labels, label_counts), built once per model."""
         return label_weights(self.train_labels, self.label_counts)
+
+    @cached_property
+    def reference_norms(self) -> tuple[np.ndarray, float] | None:
+        """integer_norms(references), built once per model: None unless every
+        reference entry is an integer, in which case queries may take the
+        exact integer distance kernel (linalg.euclidean)."""
+        return integer_norms(self.references)
 
 
 @dataclass(frozen=True)
@@ -205,7 +212,7 @@ def _distances(model: DistanceModel, x) -> tuple[np.ndarray, bool]:
         )
     if not np.all(np.isfinite(X)):
         raise ValueError("query contains non-finite entries")
-    return _euclidean(X, model.references), x.ndim == 1
+    return euclidean(X, model.references, model.reference_norms), x.ndim == 1
 
 
 def predict_deltas(model: DistanceModel, x) -> np.ndarray:

@@ -47,7 +47,8 @@ class ResultTable:
     @classmethod
     def from_csv(cls, path, direction: str) -> "ResultTable":
         """Read a table whose header names each method once and whose every
-        other row is a dataset name and one number per method."""
+        other row is a dataset name, each dataset once, and one number per
+        method."""
         with open(path, "r", newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -66,11 +67,15 @@ class ResultTable:
                 if len(row) != len(header):
                     raise DataFormatError(f"{where}: {len(row)} cells, but the header has "
                                           f"{len(header)}")
+                if row[0] in datasets:
+                    raise DataFormatError(f"{where}: dataset {row[0]!r} appears twice")
                 datasets.append(row[0])
                 try:
                     rows.append([float(v) for v in row[1:]])
                 except ValueError as exc:
                     raise DataFormatError(f"{where}: {exc}") from None
+        if not rows:
+            raise DataFormatError(f"{path}: no data row after the header")
         return cls(
             methods=methods,
             datasets=tuple(datasets),

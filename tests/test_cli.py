@@ -378,6 +378,15 @@ class TestBenchmark:
         assert "names" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_repeated_dataset_is_usage_error(self, tmp_path, toy_specs, capsys):
+        train, test = toy_specs
+        out_dir = tmp_path / "run"
+        assert cli.main(["benchmark", "--dataset", f"a,{train},{test}",
+                         "--dataset", f"b,{train},{test}", "--dataset", f"a,{train},{test}",
+                         "--out-dir", str(out_dir)]) == 1
+        assert "--dataset names a twice" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestStatsCommand:
     def test_stats_json(self, tmp_path):
@@ -404,7 +413,11 @@ class TestStatsCommand:
          "{table} line 2: 4 cells, but the header has 3"),
         ("dataset,a,a\nd1,0.1,0.2\nd2,0.2,0.3\n", "{table} line 1: method 'a' appears twice"),
         ("", "{table}: no header row"),
-    ], ids=["non-numeric", "short-row", "long-row", "repeated-method", "empty"])
+        ("dataset,a,b\n", "{table}: no data row after the header"),
+        ("dataset,a,b\nd1,0.1,0.2\nd2,0.2,0.3\nd1,0.3,0.1\n",
+         "{table} line 4: dataset 'd1' appears twice"),
+    ], ids=["non-numeric", "short-row", "long-row", "repeated-method", "empty", "header-only",
+            "repeated-dataset"])
     def test_malformed_table_is_data_error(self, tmp_path, capsys, text, message):
         table, out = tmp_path / "t.csv", tmp_path / "cd.json"
         table.write_text(text)

@@ -1,6 +1,17 @@
+import os
+import subprocess
+import sys
+from math import isqrt
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
+from distmlc import linalg
 from distmlc.linalg import (
     RegularizedGram,
     SingularSystemError,
@@ -55,6 +66,92 @@ class TestPairwiseDistances:
         d1 = pairwise_distances(A, A)
         d2 = pairwise_distances(A.copy(), A.copy())
         assert (d1 == d2).all()
+
+
+def exact_limit(M: int) -> int:
+    """The largest m with 4*M*m**2 < 2**53: integer entries up to m take the kernel."""
+    return isqrt((2**53 - 1) // (4 * M))
+
+
+@st.composite
+def integer_pairs(draw, over_limit=False):
+    """Integer-valued A (Q x M, Q may be 0) and B (K x M): small or near-limit
+    values of either sign, dense or sparse rows, some all-zero columns. With
+    over_limit, one entry is one past exact_limit(M)."""
+    M = draw(st.integers(1, 12))
+    Q, K = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = exact_limit(M) if draw(st.booleans()) else 3
+    A = rng.integers(-top, top, size=(Q, M), endpoint=True).astype(np.float64)
+    B = rng.integers(-top, top, size=(K, M), endpoint=True).astype(np.float64)
+    density = draw(st.sampled_from([0.1, 0.5, 1.0]))
+    A[rng.random(A.shape) >= density] = 0.0
+    B[rng.random(B.shape) >= density] = 0.0
+    zero_cols = rng.random(M) < 0.25
+    A[:, zero_cols] = B[:, zero_cols] = 0.0
+    edge = B if Q == 0 or draw(st.booleans()) else A
+    i, j = rng.integers(edge.shape[0]), rng.integers(M)
+    edge[i, j] = (exact_limit(M) + over_limit) * draw(st.sampled_from([-1.0, 1.0]))
+    return A, B
+
+
+def distances_and_cdist_calls(A, B):
+    with mock.patch.object(linalg, "cdist", wraps=cdist) as spy:
+        D = pairwise_distances(A, B)
+    return D, spy.call_count
+
+
+class TestIntegerKernel:
+    """Integer-valued inputs within the bound take sqrt(|a|^2 + |b|^2 - 2a.b),
+    which must equal cdist bit for bit (so a row gets the same bits alone and
+    in any batch, as cdist's rows do); anything else must take cdist."""
+
+    @given(integer_pairs())
+    def test_equals_cdist_bit_for_bit(self, pair):
+        A, B = pair
+        D, calls = distances_and_cdist_calls(A, B)
+        assert calls == 0
+        assert D.shape == (A.shape[0], B.shape[0])
+        np.testing.assert_array_equal(D.view(np.int64), cdist(A, B).view(np.int64))
+
+    @given(integer_pairs(over_limit=True))
+    def test_over_the_limit_takes_cdist(self, pair):
+        D, calls = distances_and_cdist_calls(*pair)
+        assert calls == 1
+
+    @given(integer_pairs(), st.sampled_from("AB"), st.integers(0, 2**32 - 1))
+    def test_a_non_integer_entry_takes_cdist(self, pair, where, seed):
+        A, B = pair
+        rng = np.random.default_rng(seed)
+        M = A if where == "A" and A.shape[0] else B
+        M[rng.integers(M.shape[0]), rng.integers(M.shape[1])] += 0.5
+        D, calls = distances_and_cdist_calls(A, B)
+        assert calls == 1
+        np.testing.assert_array_equal(D.view(np.int64), cdist(A, B).view(np.int64))
+
+    def test_same_bits_at_one_and_two_blas_threads(self):
+        """The integer kernel's GEMM is exact, so its bits do not depend on how
+        BLAS splits the product; each thread count runs in a child process."""
+        script = (
+            "import hashlib, numpy as np\n"
+            "from distmlc import linalg\n"
+            "rng = np.random.default_rng(5)\n"
+            "A = rng.integers(-3, 4, size=(300, 400)).astype(float)\n"
+            "B = rng.integers(-3, 4, size=(200, 400)).astype(float)\n"
+            "cdist, linalg.cdist = linalg.cdist, None  # the kernel must not fall back\n"
+            "for D in (linalg.pairwise_distances(A, B), cdist(A, B)):\n"
+            "    print(hashlib.sha256(D.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(linalg.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                 capture_output=True, text=True, timeout=120)
+            digests += out.stdout.split()
+        assert len(digests) == 4 and len(set(digests)) == 1
 
 
 class TestSolveRegularizedLs:

@@ -1,11 +1,12 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distmlc import models, tuning
+from distmlc import linalg, modelio, models, tuning
 from distmlc.linalg import fit_ridge, pairwise_distances
 from distmlc.tuning import (
     TunedMlMlm,
@@ -616,3 +617,55 @@ class TestUniqueLabelVectors:
         np.testing.assert_allclose(pred.scores, scores, rtol=1e-9, atol=1e-9)
         np.testing.assert_array_equal(pred.labels, labels.astype(int))
         np.testing.assert_allclose(pred.min_distance, D.min(axis=1), rtol=1e-9, atol=1e-9)
+
+
+class TestIntegerFeatures:
+    """0/1 features take linalg's exact integer distance kernel for the fit's
+    Dx and Dy and for every query. Each method's outputs must be those of a
+    run forced through cdist, bit for bit, and a row alone must get its
+    batch distances' bits."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        rng = np.random.default_rng(41)
+        X = (rng.random((70, 60)) < 0.1).astype(np.float64)
+        Q = (rng.random((20, 60)) < 0.1).astype(np.float64)
+        Q[:3] = rng.random((3, 60)) < 0.7  # dense rows among the sparse ones
+        _, Y = random_problem(rng, n=70, l=5)
+        return X, Y, Q
+
+    @staticmethod
+    def fit_and_decode(method, X, Y, Q):
+        train, decode = modelio.method_functions(method)
+        model = train(X, Y, alpha_mode="auto", label_names=())
+        return model, decode(model, Q)
+
+    @pytest.mark.parametrize("method", modelio.METHODS)
+    def test_same_bits_as_a_run_forced_through_cdist(self, problem, method, monkeypatch):
+        X, Y, Q = problem
+        with mock.patch.object(linalg, "cdist", side_effect=AssertionError("cdist ran")):
+            kernel = self.fit_and_decode(method, X, Y, Q)[1]
+        for module in (linalg, models):
+            monkeypatch.setattr(module, "integer_norms", lambda A: None)
+        forced = self.fit_and_decode(method, X, Y, Q)[1]
+        for name in ("scores", "min_distance"):
+            np.testing.assert_array_equal(getattr(kernel, name).view(np.int64),
+                                          getattr(forced, name).view(np.int64))
+        np.testing.assert_array_equal(kernel.labels, forced.labels)
+        np.testing.assert_array_equal(kernel.uncertainty, forced.uncertainty)
+
+    @pytest.mark.parametrize("method", modelio.METHODS)
+    def test_a_row_alone_has_its_batch_distances(self, problem, method):
+        X, Y, Q = problem
+        model, batch = self.fit_and_decode(method, X, Y, Q)
+        decode, base = modelio.method_functions(method)[1], modelio.base_model(model)
+        deltas = models.predict_deltas(base, Q)
+        for i, q in enumerate(Q):
+            alone = decode(model, q)
+            np.testing.assert_array_equal(models.predict_deltas(base, q).view(np.int64),
+                                          deltas[i].view(np.int64))
+            assert alone.min_distance == batch.min_distance[i]
+            assert alone.uncertainty == batch.uncertainty[i]
+            np.testing.assert_array_equal(alone.labels, batch.labels[i])
+            # the decoders' own matrix products may round a batch differently
+            np.testing.assert_allclose(alone.scores, batch.scores[i], rtol=1e-12, atol=1e-12)
