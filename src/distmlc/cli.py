@@ -2,7 +2,9 @@
 
 Subcommands: train, predict, evaluate, benchmark, stats.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
-All data outputs are byte-deterministic for identical inputs and flags.
+Data outputs are identical bytes for identical inputs and flags on one
+numpy/scipy build, CPU and BLAS thread count; across thread counts floats
+agree within 1e-9, with the same power P, labels and uncertainty buckets.
 
 Dataset specs (data.load_dataset); a single file is read as CSV when its
 name ends in .csv and as ARFF otherwise:

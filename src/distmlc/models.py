@@ -14,6 +14,7 @@ training rows.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,6 +41,8 @@ class DistanceModel:
         vectors, in first-seen order.
     label_counts: length-U float array, how many training rows carry each
         of them (they sum to N).
+    Building one, by training, by modelio.load_model or by hand, checks all of
+    this, alpha (finite, >= 0) and label_names (empty or L strings).
     """
 
     references: np.ndarray
@@ -50,14 +53,21 @@ class DistanceModel:
     label_names: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if np.ndim(self.references) != 2 or np.ndim(self.train_labels) != 2:
+            raise ValueError("references and train_labels must be matrices")
         if not np.all(np.isfinite(self.references)):
             raise ValueError("references contain non-finite values")
-        if self.coefficients.shape[0] != self.references.shape[0]:
-            raise ValueError("coefficient rows must equal reference count")
-        if self.coefficients.shape[1] != self.train_labels.shape[0]:
-            raise ValueError("coefficient cols must equal unique label vector count")
-        if self.label_counts.shape != (self.train_labels.shape[0],):
-            raise ValueError("need one label count per unique label vector")
+        _check_binary(self.train_labels, "train_labels")
+        (K, _), (U, L) = np.shape(self.references), np.shape(self.train_labels)
+        _check_array(self.coefficients, "coefficients", (K, U), "K x U")
+        c = np.asarray(self.label_counts)
+        if c.shape != (U,) or not np.all(np.isfinite(c) & (c >= 1.0) & (c == np.round(c))):
+            raise ValueError(f"label_counts must be {U} positive whole numbers")
+        _check_number(self.alpha, "alpha", "a finite number >= 0", lambda v: v >= 0)
+        names = self.label_names
+        if not (isinstance(names, tuple) and len(names) in (0, L)
+                and all(isinstance(name, str) for name in names)):
+            raise ValueError(f"label_names must be empty or {L} strings, got {names!r}")
 
     @property
     def n_features(self) -> int:
@@ -90,6 +100,10 @@ class BrMlmModel:
     base: DistanceModel
     label_coefficients: np.ndarray
 
+    def __post_init__(self):
+        (K, _), (_, L) = self.base.references.shape, self.base.train_labels.shape
+        _check_array(self.label_coefficients, "label_coefficients", (2, K, L), "2 x K x L")
+
 
 @dataclass(frozen=True)
 class Prediction:
@@ -108,6 +122,18 @@ def _check_binary(Y: np.ndarray, name: str = "Y") -> np.ndarray:
     if not np.all((Y == 0.0) | (Y == 1.0)):
         raise ValueError(f"{name} must be binary (entries in {{0,1}})")
     return Y
+
+
+def _check_array(a, name: str, shape: tuple, dims: str) -> None:
+    if np.shape(a) != shape:
+        raise ValueError(f"{name} are {np.shape(a)}, expected {shape} ({dims})")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} holds non-finite values")
+
+
+def _check_number(value, name: str, expected: str = "a finite number", ok=lambda v: True) -> None:
+    if not (isinstance(value, numbers.Real) and np.isfinite(value) and ok(value)):
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
 
 
 def auto_alpha(distances) -> float:

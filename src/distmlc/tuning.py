@@ -25,12 +25,17 @@ class LeverageError(ValueError):
 
 @dataclass(frozen=True)
 class TunedMlMlm:
-    """A distance model with tuned power parameter and global threshold."""
+    """A distance model with tuned power parameter (finite, > 0) and global
+    threshold (finite)."""
 
     model: "_models.DistanceModel"
     power: float
     threshold: float
     lrl_curve: tuple[tuple[float, float], ...]
+
+    def __post_init__(self):
+        _models._check_number(self.power, "power P", "a finite number > 0", lambda v: v > 0)
+        _models._check_number(self.threshold, "threshold t")
 
 
 def loo_deltas(gram: RegularizedGram, Dx, Dy, B) -> np.ndarray:
@@ -136,8 +141,6 @@ def tune_ml_mlm(X, Y, alpha_mode="auto", power_mode="tuned", label_names=()) -> 
         power, curve = search_power(loo, Y, labels, counts)
     else:
         power, curve = float(power_mode), ()
-        if power <= 0:
-            raise ValueError("fixed power must be positive")
     threshold = cardinality_threshold(_models.idw_scores(loo, labels, power, counts), Y)
     return TunedMlMlm(model=model, power=power, threshold=threshold, lrl_curve=curve)
 

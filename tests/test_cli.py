@@ -560,3 +560,19 @@ class TestExitCodes:
         assert cli.main(["predict", str(model), test, "--out", str(out)]) == 2
         assert "unknown method 'foo'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        *((field, value) for field in ("P", "t", "alpha")
+          for value in (None, "x", float("nan"), float("inf"))),
+        ("P", 0), ("P", -1), ("label_names", 5), ("label_names", ["x"]),
+    ])
+    def test_data_error_bad_manifest_field(self, tmp_path, toy_specs, capsys, field, value):
+        train, test = toy_specs
+        model, out = tmp_path / "m.dmlm", tmp_path / "p.jsonl"
+        cli.main(["train", train, "--alpha", "0.1", "--out", str(model)])
+        rewrite(model, lambda manifest, arrays: manifest.update({field: value}))
+        assert cli.main(["predict", str(model), test, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(model) in err
+        assert "Traceback" not in err
+        assert not out.exists()

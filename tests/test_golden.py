@@ -3,13 +3,19 @@
 tests/golden/make_golden.py made the .npz files; these tests recompute
 everything with the same functions and compare. Floats may move by
 round-off when a summation order changes (within 1e-9); labels,
-uncertainty buckets and the chosen power must not move at all.
+uncertainty buckets and the chosen power must not move at all. The same
+tolerances hold between runs at different BLAS thread counts, whose bytes
+may differ.
 """
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import distmlc
 from golden import make_golden
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -60,3 +66,40 @@ def test_decoders(problem, expected, source, tmp_path):
         np.testing.assert_array_equal(actual[key + "labels"], expected[key + "labels"])
         np.testing.assert_array_equal(
             actual[key + "uncertainty"], expected[key + "uncertainty"])
+
+
+# Writes the CLI and tuning outputs of the golden problem argv[1] to argv[2].
+CHILD = """
+import sys, tempfile
+from pathlib import Path
+import numpy as np
+from golden import make_golden
+with np.load(sys.argv[1]) as f:
+    problem = dict(f)
+out = make_golden.tuning_outputs(problem)
+with tempfile.TemporaryDirectory() as tmp:
+    out.update(make_golden.cli_outputs(problem, Path(tmp)))
+np.savez(sys.argv[2], **out)
+"""
+
+
+def test_blas_thread_counts_agree(tmp_path):
+    """OPENBLAS_NUM_THREADS 1 and 2 change the round-off of the matrix products
+    (cli scores by about 1e-13, the LOO matrix by about 1e-12), not the
+    chosen power, the labels or the buckets."""
+    path = os.pathsep.join([str(Path(distmlc.__file__).parents[1]), str(Path(__file__).parent)])
+    runs = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}.npz"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": path}
+        subprocess.run([sys.executable, "-c", CHILD, str(GOLDEN / "problem.npz"), str(out)],
+                       env=env, check=True)
+        with np.load(out) as f:
+            runs.append(dict(f))
+    one, two = runs
+    assert sorted(one) == sorted(two)
+    for key in one:
+        if key == "ml_power" or key.endswith(("_labels", "_uncertainty")):
+            np.testing.assert_array_equal(two[key], one[key], err_msg=key)
+        else:
+            assert_close(two[key], one[key])

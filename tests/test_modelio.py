@@ -122,6 +122,15 @@ class TestErrors:
         with pytest.raises(modelio.ModelFileError):
             modelio.load_model(p)
 
+    @pytest.mark.parametrize("manifest", ["[1, 2]", '"x"', "4", "{}"])
+    def test_manifest_not_a_format_4_object(self, tmp_path, manifest):
+        p = tmp_path / "m.dmlm"
+        with zipfile.ZipFile(p, "w") as zf:
+            zf.writestr("manifest.json", manifest)
+        with pytest.raises(modelio.ModelFileError, match="cannot read model file") as err:
+            modelio.load_model(p)
+        assert str(p) in str(err.value)
+
     def test_truncated_blob(self, problem, tmp_path):
         X, Y = problem
         model = models.train(X, Y, alpha_mode=0.1)
@@ -155,11 +164,19 @@ class TestValidation:
         modelio.save_model(p, model, "br-mlm")
         return p
 
+    @pytest.fixture
+    def saved_ml(self, tmp_path):
+        X, Y = random_problem(np.random.default_rng(103), n=16, m=3, l=3)
+        p = tmp_path / "ml.dmlm"
+        modelio.save_model(p, tuning.tune_ml_mlm(X, Y, alpha_mode=0.1), "ml-mlm")
+        return p
+
     def assert_refused(self, path, edit, match):
         modelio.load_model(path)  # the unedited file loads
         rewrite(path, edit)
-        with pytest.raises(modelio.ModelFileError, match=match):
+        with pytest.raises(modelio.ModelFileError, match=match) as err:
             modelio.load_model(path)
+        assert str(path) in str(err.value)
 
     def test_coefficients_not_k_by_u(self, saved):
         def edit(manifest, arrays):
@@ -230,3 +247,47 @@ class TestValidation:
                 (K, U), L = arrays["coefficients"].shape, arrays["train_labels"].shape[1]
                 arrays["label_coefficients"] = np.zeros((L, K, U))
         self.assert_refused(saved, edit, "retrain")
+
+    @pytest.mark.parametrize("value", [None, "x", float("nan"), float("inf")],
+                             ids=["null", "string", "NaN", "Infinity"])
+    @pytest.mark.parametrize("field, match", [("P", "power P"), ("t", "threshold t"),
+                                              ("alpha", "alpha")])
+    def test_manifest_number_not_finite(self, saved_ml, field, match, value):
+        def edit(manifest, arrays):
+            manifest[field] = value
+        self.assert_refused(saved_ml, edit, f"{match} must be a finite number")
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_power_not_positive(self, saved_ml, value):
+        def edit(manifest, arrays):
+            manifest["P"] = value
+        self.assert_refused(saved_ml, edit, "power P must be a finite number > 0")
+
+    def test_alpha_negative(self, saved_ml):
+        def edit(manifest, arrays):
+            manifest["alpha"] = -0.1
+        self.assert_refused(saved_ml, edit, "alpha must be a finite number >= 0")
+
+    @pytest.mark.parametrize("names", [5, "abc", ["x"], ["a", "b", 3]])
+    def test_bad_label_names(self, saved, names):
+        def edit(manifest, arrays):
+            manifest["label_names"] = names
+        self.assert_refused(saved, edit, "label_names must be empty or 3 strings")
+
+
+class TestSaveRefusesAWrongRecord:
+    """save_model writes nothing for a record that is not its method's."""
+
+    @pytest.mark.parametrize("train, method", [
+        (models.train_br, "ml-mlm"),
+        (tuning.tune_ml_mlm, "br-mlm"),
+        (tuning.tune_ml_mlm, "nn-mlm"),
+        (models.train, "lls-mlm-x"),
+    ])
+    def test_refused_before_writing(self, problem, tmp_path, train, method):
+        X, Y = problem
+        model = train(X, Y, alpha_mode=0.1)
+        p = tmp_path / "m.dmlm"
+        with pytest.raises(ValueError, match=f"as a '{method}' model"):
+            modelio.save_model(p, model, method)
+        assert not p.exists()

@@ -182,6 +182,75 @@ class TestQueryContract:
             replace(model, references=references)
 
 
+def _with(array, index, value):
+    out = np.array(array, dtype=np.float64)
+    out[index] = value
+    return out
+
+
+class TestRecordsCheckThemselves:
+    """Each record, built by hand as by training or load_model, refuses a broken field."""
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        X, Y = random_problem(np.random.default_rng(25), n=12, m=3, l=3)
+        tuned = tune_ml_mlm(X, Y, alpha_mode=0.1, label_names=("a", "b", "c"))
+        return tuned, models.train_br(X, Y, alpha_mode=0.1)
+
+    @pytest.mark.parametrize("field, broken", [
+        ("references", lambda m: m.references[0]),
+        ("references", lambda m: _with(m.references, (0, 0), np.inf)),
+        ("coefficients", lambda m: m.coefficients[:, :-1]),
+        ("coefficients", lambda m: _with(m.coefficients, (1, 1), np.nan)),
+        ("train_labels", lambda m: _with(m.train_labels, (0, 0), 0.5)),
+        ("train_labels", lambda m: m.train_labels[0]),
+        ("label_counts", lambda m: m.label_counts[:-1]),
+        ("label_counts", lambda m: _with(m.label_counts, 0, 0.0)),
+        ("label_counts", lambda m: _with(m.label_counts, 0, 1.5)),
+        ("label_counts", lambda m: _with(m.label_counts, 0, np.inf)),
+        ("label_counts", lambda m: _with(m.label_counts, 0, np.nan)),
+        ("alpha", lambda m: -0.1),
+        ("alpha", lambda m: np.nan),
+        ("alpha", lambda m: np.inf),
+        ("alpha", lambda m: None),
+        ("alpha", lambda m: "x"),
+        ("label_names", lambda m: 5),
+        ("label_names", lambda m: ("a",)),
+        ("label_names", lambda m: ("a", "b", 3)),
+        ("label_names", lambda m: ["a", "b", "c"]),
+    ])
+    def test_distance_model(self, records, field, broken):
+        model = records[0].model
+        replace(model, label_names=())  # the untouched fields pass
+        with pytest.raises(ValueError, match=field):
+            replace(model, **{field: broken(model)})
+
+    @pytest.mark.parametrize("broken", [
+        lambda c: c[:, :, :-1],
+        lambda c: c.transpose(0, 2, 1),
+        lambda c: c[0],
+        lambda c: _with(c, (1, 2, 0), np.nan),
+    ])
+    def test_br_mlm_model(self, records, broken):
+        br = records[1]
+        with pytest.raises(ValueError, match="label_coefficients"):
+            replace(br, label_coefficients=broken(br.label_coefficients))
+
+    @pytest.mark.parametrize("field, value", [
+        *(("power", v) for v in (0.0, -1.0, np.nan, np.inf, None, "x")),
+        *(("threshold", v) for v in (np.nan, -np.inf, None, "x")),
+    ])
+    def test_tuned_ml_mlm(self, records, field, value):
+        with pytest.raises(ValueError, match=field):
+            replace(records[0], **{field: value})
+
+    def test_fixed_power_refused_by_the_scorer(self):
+        X, Y = random_problem(np.random.default_rng(26), n=12, m=3, l=3)
+        for power in (0.0, -1.0):
+            with pytest.raises(ValueError, match="power parameter P must be positive"):
+                tune_ml_mlm(X, Y, alpha_mode=0.1, power_mode=power)
+
+
 class TestIdwScores:
     def test_uniform_weights_give_column_means(self):
         Y = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
