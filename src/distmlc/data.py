@@ -5,15 +5,20 @@ and as Mulan-style ARFF (dense or sparse) otherwise. load_dataset builds a
 Dataset from a spec: a features.csv;labels.csv pair, or one file whose label
 columns a Mulan XML manifest names or that ends in labels_last label columns.
 
-Dense rows are read in one float() pass: an ARFF data line split on commas,
-a CSV row as csv.reader frames it. Only a row that pass refuses goes through
-the per-token parser (_split_dense_row, _parse_value): a token float()
-rejects (any quote, '?', an empty token), a wrong token count, or a value
-that is not finite. That parser is the only one that reads quoted tokens or
-words an error, so values, messages and line numbers are the per-token
-parser's. The bits are equal because both paths end in float() on the same
-text: float() strips the whitespace that _parse_value strips, and a line
-without '"' splits on commas as csv.reader(skipinitialspace=True) splits it.
+Rows are read in one float() pass: a dense ARFF data line split on commas,
+a sparse one into its 'index value' items, a CSV row as csv.reader frames
+it. Only a row that pass refuses goes through the per-token parser
+(_split_dense_row or the sparse item loop, then _parse_value): a token
+float() rejects (any quote, '?', an empty token), a wrong token count, a
+sparse item that is not an index and one value, sparse indices that are not
+strictly increasing below the attribute count, or a value that is not
+finite. That parser is the only one that reads quoted tokens or words an
+error, so values, messages and line numbers are the per-token parser's,
+and a repeated sparse index keeps its last value. The bits are equal
+because both paths end in float() on the same text: float() strips the
+whitespace that _parse_value strips, a sparse value is one whitespace-free
+token either way, and a dense line without '"' splits on commas as
+csv.reader(skipinitialspace=True) splits it.
 (One exception: the fast pass accepts an ARFF field longer than
 csv.field_size_limit() that the csv module would refuse.)
 """
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
@@ -123,6 +129,25 @@ def _plain_floats(toks) -> list[float] | None:
     return values if all(map(math.isfinite, values)) else None
 
 
+def _plain_sparse(items, n_attrs: int) -> tuple[list[int], list[float]] | None:
+    """The indices and float() values of a sparse row's 'index value' items,
+    or None when an item is not a decimal index and one token, float()
+    refuses a value or a value is not finite, or the indices are not strictly
+    increasing below n_attrs (a fancy assignment does not say which of a
+    repeated index's values wins); the per-token parser then reads the row."""
+    pairs = list(map(str.split, items))
+    if set(map(len, pairs)) != {2}:
+        return None
+    idx_toks, value_toks = zip(*pairs)
+    if not "".join(idx_toks).isdecimal():  # split() gives no empty token
+        return None
+    idx = list(map(int, idx_toks))
+    if not (idx[-1] < n_attrs and all(map(operator.lt, idx, idx[1:]))):
+        return None
+    values = _plain_floats(value_toks)
+    return None if values is None else (idx, values)
+
+
 def read_arff(path) -> tuple[tuple[str, ...], np.ndarray]:
     """Every attribute name of an ARFF file and its N x attributes value
     matrix, rows in file order (0 rows when there is no data line)."""
@@ -153,8 +178,12 @@ def read_arff(path) -> tuple[tuple[str, ...], np.ndarray]:
                 row = np.zeros(n_attrs)
                 if line.startswith("{"):
                     body = line.strip("{}").strip()
-                    if body:
-                        for item in body.split(","):
+                    items = body.split(",") if body else []
+                    entries = _plain_sparse(items, n_attrs)
+                    if entries is not None:
+                        row[entries[0]] = entries[1]
+                    else:
+                        for item in items:
                             parts = item.split()
                             if len(parts) != 2 or not parts[0].isdecimal():
                                 raise DataFormatError(f"malformed sparse entry '{item}'")

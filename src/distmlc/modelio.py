@@ -9,8 +9,9 @@ deterministic (fixed timestamps, fixed member order), so retraining on
 identical inputs yields byte-identical files, and load(save(m)) gives
 bit-identical predictions. Loaded arrays are read-only views of the
 bytes read from the file. This module checks only the format version, the
-method name, the blob sizes and the scaler; the record checks the rest of
-the model when load_model builds it, as when training does.
+method name, the blob shapes ("dimensions", a JSON object) and sizes and the
+scaler; the record checks the rest of the model when load_model builds it,
+as when training does.
 
 Format 4 keeps the U unique training label vectors (train_labels) and
 their counts (label_counts); coefficients are K x U and br-mlm's
@@ -123,10 +124,13 @@ def load_model(path):
             method = manifest["method"]
             if method not in METHODS:
                 raise ValueError(f"unknown method {method!r}")
+            dimensions = manifest["dimensions"]
+            if not isinstance(dimensions, dict):
+                raise ValueError("dimensions must be a JSON object of blob shapes")
             # read-only views of the bytes read, not copies; reshape refuses a
             # blob whose size does not fit its shape
             arrays = {name: np.frombuffer(zf.read(name + ".f64"), dtype="<f8").reshape(shape)
-                      for name, shape in manifest["dimensions"].items()}
+                      for name, shape in dimensions.items()}
         names = manifest["label_names"]  # a JSON list; the record holds a tuple
         base = DistanceModel(
             references=arrays["references"],

@@ -403,16 +403,52 @@ def lls_mlm_predict(model: DistanceModel, x) -> Prediction:
     return _finish_rank_cut(lls_scores(model, deltas), model, deltas, one_row)
 
 
+def _minimizer_candidates(A, B, C) -> tuple[np.ndarray, np.ndarray]:
+    """The least and the greatest real root of y^3 + A y^2 + B y + C,
+    elementwise.
+
+    They are the only candidates for the minimizer of a quartic whose
+    derivative is a positive multiple of this cubic: with three real roots
+    the middle one is a local maximum. With y = x - A/3 the cubic is
+    x^3 + p x + q. Its discriminant (q/2)^2 + (p/3)^3 <= 0 with p < 0 means
+    three real roots, taken in trigonometric form; otherwise there is one
+    real root (or the triple root x = 0 when p = q = 0), taken in Cardano's
+    form and given twice. Both forms are computed for every cubic and the
+    sign picks one.
+    """
+    shift = A / 3.0
+    p = B - A * shift
+    q = (2.0 * shift * shift - B) * shift + C
+    p3, q2 = p / 3.0, 0.5 * q
+    disc = q2 * q2 + p3 * p3 * p3
+    # three real roots 2m cos(theta - 2 pi k / 3), m = sqrt(-p/3), k = 0, 1, 2,
+    # greatest at k = 0 and least at k = 2; theta is in [0, pi/3], so
+    # sin(theta) = sqrt(1 - cos(theta)^2)
+    m = np.sqrt(np.maximum(-p3, 0.0))
+    m3 = m * m * m
+    m3 = np.where(m3 > 0.0, m3, 1.0)  # p = 0, or so small that m^3 underflows
+    cos = np.cos(np.arccos(np.clip(-q2 / m3, -1.0, 1.0)) / 3.0)
+    sin = np.sqrt(np.maximum(1.0 - cos * cos, 0.0)) * np.sqrt(3.0)
+    # one real root u - p / (3u), u^3 = -q/2 - sign(q) sqrt(disc): the sign
+    # that keeps u away from 0 unless p = q = 0
+    u = np.cbrt(-q2 - np.copysign(np.sqrt(np.maximum(disc, 0.0)), q))
+    one = np.where(u != 0.0, u - p3 / np.where(u != 0.0, u, 1.0), 0.0)
+    three = (p < 0.0) & (disc <= 0.0)
+    return (np.where(three, -m * (cos + sin), one) - shift,
+            np.where(three, 2.0 * m * cos, one) - shift)
+
+
 def scalar_multilateration_scores(target_cols: np.ndarray, delta_cols: np.ndarray,
                                   counts) -> np.ndarray:
     """Closed-form per-label minimizers of J_l(y) = sum_k c_kl ((y - t_kl)^2 - d_kl^2)^2.
 
-    Stationarity gives a cubic in y; the real root with the least
-    objective value wins (smallest root on ties). target_cols is K x L,
-    or K x 1 when every label has the same targets; delta_cols is K x L
-    for one query (giving L scores) or Q x K x L for Q queries (giving
-    Q x L). counts holds the weights c_kl, a target row counted c_kl
-    times: K of them shared by every label, or K x L.
+    Stationarity gives a cubic in y, solved in closed form; of its least
+    and greatest real roots (the middle one is a local maximum) the one with
+    the smaller objective value wins, the least on ties, and one Newton step
+    polishes it. target_cols is K x L, or K x 1 when every label has the
+    same targets; delta_cols is K x L for one query (giving L scores) or
+    Q x K x L for Q queries (giving Q x L). counts holds the weights c_kl, a
+    target row counted c_kl times: K of them shared by every label, or K x L.
     """
     T = np.asarray(target_cols, dtype=np.float64)
     d2 = clamp_deltas(delta_cols) ** 2
@@ -423,20 +459,21 @@ def scalar_multilateration_scores(target_cols: np.ndarray, delta_cols: np.ndarra
     c2 = -3.0 * cT.sum(axis=0)
     c1 = 3.0 * (cT * T).sum(axis=0) - (c * d2).sum(axis=-2)
     c0 = -((cT * T**2).sum(axis=0)) + (d2 * cT).sum(axis=-2)
-    # roots are the eigenvalues of the companion matrices, as in np.roots
-    companion = np.zeros(c1.shape + (3, 3))
-    companion[..., 0, :] = np.stack(np.broadcast_arrays(c2, c1, c0), axis=-1) \
-        / -c.sum(axis=0)[:, None]
-    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
-    roots = np.linalg.eigvals(companion)
-    y = roots.real
-    vals = np.stack([(c * ((y[..., None, :, j] - T) ** 2 - d2) ** 2).sum(axis=-2)
-                     for j in range(3)], axis=-1)
-    vals[np.abs(roots.imag) >= 1e-8] = np.inf
+    A, B, C = (coef / c.sum(axis=0) for coef in (c2, c1, c0))
+    least, greatest = _minimizer_candidates(A, B, C)
+    J_least, J_greatest = ((c * ((y[..., None, :] - T) ** 2 - d2) ** 2).sum(axis=-2)
+                           for y in (least, greatest))
     # symmetric instances give analytically equal minima that differ
-    # only by root round-off; count those as ties
-    low = vals.min(axis=-1, keepdims=True)
-    return np.where(vals <= low + 1e-9 * (1.0 + low), y, np.inf).min(axis=-1)
+    # only by root round-off; count those as ties. J is flat at a minimum,
+    # so the choice needs no polished roots: only the chosen one is polished
+    low = np.minimum(J_least, J_greatest)
+    y = np.where(J_least <= low + 1e-9 * (1.0 + low), least, greatest)
+    # one Newton step, kept where it lowers the residual (not at a zero
+    # slope, nor at a double root's round-off)
+    f = ((y + A) * y + B) * y + C
+    slope = (3.0 * y + 2.0 * A) * y + B
+    stepped = y - f / np.where(slope != 0.0, slope, 1.0)
+    return np.where(np.abs(((stepped + A) * stepped + B) * stepped + C) < np.abs(f), stepped, y)
 
 
 def br_mlm_predict(model: BrMlmModel, x) -> Prediction:

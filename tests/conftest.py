@@ -147,6 +147,19 @@ def rewrite(path, edit) -> None:
             zf.writestr(name + ".f64", a.astype("<f8").tobytes())
 
 
+def rewrite_manifest(path, edit) -> None:
+    """Rewrite a saved model file's manifest after edit(manifest) changed it in
+    place, keeping every blob as stored."""
+    with zipfile.ZipFile(path) as zf:
+        manifest = json.loads(zf.read("manifest.json"))
+        blobs = {name: zf.read(name) for name in zf.namelist() if name != "manifest.json"}
+    edit(manifest)
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr("manifest.json", json.dumps(manifest))
+        for name, raw in blobs.items():
+            zf.writestr(name, raw)
+
+
 def pinv_ridge(Dx, Dy, alpha):
     K = Dx.shape[1]
     U = Dx.T @ Dx + alpha * np.eye(K)

@@ -8,7 +8,7 @@ import pytest
 
 from distmlc import cli
 
-from conftest import random_problem, rewrite
+from conftest import random_problem, rewrite, rewrite_manifest
 
 
 def write_csv_pair(tmp_path, X, Y, prefix="d"):
@@ -571,6 +571,18 @@ class TestExitCodes:
         model, out = tmp_path / "m.dmlm", tmp_path / "p.jsonl"
         cli.main(["train", train, "--alpha", "0.1", "--out", str(model)])
         rewrite(model, lambda manifest, arrays: manifest.update({field: value}))
+        assert cli.main(["predict", str(model), test, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(model) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_data_error_dimensions_not_an_object(self, tmp_path, toy_specs, capsys):
+        train, test = toy_specs
+        model, out = tmp_path / "m.dmlm", tmp_path / "p.jsonl"
+        cli.main(["train", train, "--method", "nn-mlm", "--alpha", "0.1", "--out", str(model)])
+        rewrite_manifest(model, lambda manifest: manifest.update(
+            dimensions=list(manifest["dimensions"].items())))
         assert cli.main(["predict", str(model), test, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and str(model) in err

@@ -1,5 +1,6 @@
 import csv
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -264,6 +265,63 @@ class TestFloatPass:
             got_names, got = dataio.read_table(path)
             assert got_names == ref_names == tuple(names)
             assert got.shape == ref.shape == (len(rows), cols)
+            np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+PLAIN_VALUE = numbers.map(lambda value_spell: value_spell[1](value_spell[0]))
+# three plain values to one that the one pass refuses or that splits the item
+SPARSE_VALUES = st.one_of(
+    PLAIN_VALUE, PLAIN_VALUE, PLAIN_VALUE,
+    st.sampled_from(["?", "nan", "inf", "-inf", "'1.5'", '"2"', "x", "1,5", "", "1 2"]),
+)
+
+
+@st.composite
+def sparse_line(draw):
+    pad = st.sampled_from(["", " ", "  ", "\t"])
+    items = draw(st.lists(st.tuples(
+        st.sampled_from([str, lambda i: f"0{i}", lambda i: f"-{i}", lambda i: f"x{i}"]),
+        st.integers(0, 7), SPARSE_VALUES), max_size=6))
+    # half the lines get increasing indices; the rest repeat, unsort or break them
+    if draw(st.booleans()):
+        items = [(str, i, v) for i, (_, _, v) in enumerate(items)]
+    body = ",".join(draw(pad) + spell(i) + draw(pad.filter(bool)) + v + draw(pad)
+                    for spell, i, v in items)
+    return "{" + draw(pad) + body + draw(pad) + "}"
+
+
+class TestSparsePass:
+    def test_plain_rows_take_the_one_pass(self):
+        assert dataio._plain_sparse(["0 1", " 3\t2.5 "], 4) == ([0, 3], [1.0, 2.5])
+        for items in (["1 1", "1 2"], ["2 1", "1 2"], ["4 1"], ["0 nan"], ["0 '1'"],
+                      ["0 1 2"], ["-1 1"], [""], []):
+            assert dataio._plain_sparse(items, 4) is None
+
+    def test_repeated_index_keeps_its_last_value(self, tmp_path):
+        p = tmp_path / "r.arff"
+        p.write_text(HEAD + "{0 1, 0 2, 1 1}\n")
+        np.testing.assert_array_equal(dataio.read_arff(p)[1], [[2.0, 1.0]])
+
+    @given(lines=st.lists(sparse_line(), min_size=1, max_size=4))
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_values_or_message_as_the_per_token_parser(self, tmp_path, lines):
+        path = tmp_path / "s.arff"
+        path.write_text("@relation r\n" + "".join(f"@attribute a{j} numeric\n" for j in range(5))
+                        + "@data\n" + "\n".join(lines) + "\n")
+
+        def read():
+            try:
+                return dataio.read_arff(path)[1]
+            except dataio.DataFormatError as exc:
+                return str(exc)
+
+        got = read()
+        with mock.patch.object(dataio, "_plain_sparse", lambda items, n_attrs: None):
+            ref = read()
+        if isinstance(ref, str):
+            assert got == ref
+        else:
+            assert isinstance(got, np.ndarray) and got.shape == ref.shape
             np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from distmlc import modelio, models, tuning
 
-from conftest import random_problem, rewrite
+from conftest import random_problem, rewrite, rewrite_manifest
 
 
 @pytest.fixture
@@ -267,6 +267,14 @@ class TestValidation:
         def edit(manifest, arrays):
             manifest["alpha"] = -0.1
         self.assert_refused(saved_ml, edit, "alpha must be a finite number >= 0")
+
+    def test_dimensions_not_an_object(self, saved):
+        modelio.load_model(saved)
+        rewrite_manifest(saved, lambda manifest: manifest.update(
+            dimensions=[[name, shape] for name, shape in manifest["dimensions"].items()]))
+        with pytest.raises(modelio.ModelFileError, match="dimensions must be a JSON object") as err:
+            modelio.load_model(saved)
+        assert str(saved) in str(err.value)
 
     @pytest.mark.parametrize("names", [5, "abc", ["x"], ["a", "b", 3]])
     def test_bad_label_names(self, saved, names):

@@ -464,6 +464,94 @@ class TestBrMlm:
                 np.testing.assert_allclose(scores[:, l], expanded[:, 0], rtol=1e-9, atol=1e-9)
 
 
+def cubic_oracle(t, d, c):
+    """The least objective c-weighted sum of ((y - t)^2 - d^2)^2 at the real
+    parts of np.roots' roots of its derivative (a superset of its minimizers),
+    and those real parts with their objectives."""
+    d2 = d**2
+    coef = [c.sum(), -3.0 * (c * t).sum(), 3.0 * (c * t**2).sum() - (c * d2).sum(),
+            -(c * t**3).sum() + (c * d2 * t).sum()]
+    roots = np.roots(coef).real
+    vals = np.array([(c * ((y - t) ** 2 - d2) ** 2).sum() for y in roots])
+    return vals.min(), roots, vals
+
+
+@st.composite
+def cubic_batches(draw):
+    """Q x K x L per-label cubic problems: random targets and deltas, zero
+    counts, all-zero targets, and deltas that put a double or triple root in
+    a label whose only counted targets are 0 and 1."""
+    Q, K, L = draw(st.integers(1, 3)), draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    T, c = np.zeros((K, L)), np.zeros((K, L))
+    d = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=Q * K * L,
+                               max_size=Q * K * L))).reshape(Q, K, L)
+    for l in range(L):
+        kind = draw(st.sampled_from(["random", "binary", "pair", "zero"]))
+        counts = draw(st.lists(st.integers(0, 4), min_size=K, max_size=K))
+        counts[0] += sum(counts) == 0
+        c[:, l] = counts
+        if kind == "random":
+            T[:, l] = draw(st.lists(st.floats(-2.0, 2.0), min_size=K, max_size=K))
+        elif kind == "binary":
+            T[:, l] = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=K, max_size=K))
+        elif kind == "pair":
+            # targets 0 and 1 counted c0 and c1 times; every other row counts 0
+            T[1, l], c[2:, l] = 1.0, 0.0
+            c[1, l] += c[1, l] == 0
+            n, a = c[:, l].sum(), c[1, l] / c[:, l].sum()
+            for q in range(Q):
+                shape = draw(st.sampled_from(["random", "double", "triple", "zero"]))
+                if shape == "zero":
+                    d[q, :, l] = 0.0
+                if shape not in ("double", "triple") or c[0, l] == 0:
+                    continue
+                # roots r, r, s summing to 3a; with d1^2 and d0^2 >= 0 this
+                # matches the cubic's y and constant coefficients
+                r = draw(st.floats(-1.0, 2.0)) if shape == "double" else a
+                s = 3.0 * a - 2.0 * r
+                d1 = 1.0 - r * r * s / a
+                d0 = (n * (3.0 * a - r * r - 2.0 * r * s) - c[1, l] * d1) / c[0, l]
+                if min(d0, d1) < 0.0:  # no such deltas: take the triple root at a
+                    d1 = 1.0 - a * a
+                    d0 = n * a * (1.0 - a) * (2.0 - a) / c[0, l]
+                d[q, :2, l] = np.sqrt([d0, d1])
+                d[q, 2:, l] = draw(st.floats(0.0, 2.0))
+        elif draw(st.booleans()):  # all-zero targets, with all-zero deltas or not
+            d[:, :, l] = 0.0
+    return T, d, c
+
+
+class TestCubicRoots:
+    @given(problem=cubic_batches())
+    @settings(max_examples=300)
+    def test_global_minimizer_matches_np_roots(self, problem):
+        T, d, c = problem
+        batch = models.scalar_multilateration_scores(T, d, c)
+        assert batch.shape == (d.shape[0], d.shape[2]) and np.isfinite(batch).all()
+        for q in range(d.shape[0]):
+            alone = models.scalar_multilateration_scores(T, d[q], c)
+            np.testing.assert_array_equal(alone, batch[q])
+            for l in range(d.shape[2]):
+                t, dq, cl, y = T[:, l], d[q, :, l], c[:, l], batch[q, l]
+                low, roots, vals = cubic_oracle(t, dq, cl)
+                assert (cl * ((y - t) ** 2 - dq**2) ** 2).sum() <= low + 1e-9 * (1.0 + low)
+                best = roots[np.argmin(vals)]
+                slope = np.polyval([3 * cl.sum(), -6 * (cl * t).sum(),
+                                    3 * (cl * t**2).sum() - (cl * dq**2).sum()], best)
+                others = vals[np.abs(roots - best) > 1e-6]
+                if abs(slope) > 1e-3 * cl.sum() and (others > low + 1e-6 * (1.0 + low)).all():
+                    # a simple root and the unique minimizer
+                    assert abs(y - best) <= 1e-12 * (1.0 + abs(best))
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, -0.75, 3.5])
+    def test_triple_root_exact(self, t):
+        # one target at distance 0: the cubic is (y - t)^3, so p = q = 0
+        for K in (1, 3):
+            score = models.scalar_multilateration_scores(
+                np.full((K, 1), t), np.zeros((K, 1)), np.ones(K))
+            assert score[0] == t
+
+
 class TestCategorizeUncertainty:
     @pytest.mark.parametrize(
         "d,expected",
