@@ -20,9 +20,9 @@ Y = ((X @ W + 0.3 * rng.normal(size=(n, l))) > 0.4).astype(float)
 Y[Y.sum(axis=1) == 0, 0] = 1.0
 Y[Y.sum(axis=1) == l, -1] = 0.0
 
-model, Dx, Dy, gram, B = models.fit(X, Y)  # auto alpha
+model, Dx, Dy, gram = models.fit(X, Y)  # auto alpha
 alpha = model.alpha
-loo = tuning.loo_deltas(gram, Dx, Dy, B)  # N instances x U label vectors
+loo = tuning.loo_deltas(gram, Dx, Dy, model.coefficients)  # N instances x U label vectors
 best_p, curve = tuning.search_power(loo, Y, model.train_labels, model.label_counts)
 
 values = np.array([v for _, v in curve])

@@ -14,11 +14,13 @@ from .models import (
     BrMlmModel,
     DistanceModel,
     Prediction,
+    TunedMlMlm,
     auto_alpha,
     br_mlm_predict,
     categorize_uncertainty,
     idw_scores,
     lls_mlm_predict,
+    local_rcut,
     ml_mlm_predict,
     nn_mlm_predict,
     predict_deltas,
@@ -27,14 +29,7 @@ from .models import (
 )
 from .modelio import load_model, save_model
 from .stats import ResultTable, average_ranks, cd_diagram_data, friedman_test, nemenyi_cd
-from .tuning import (
-    TunedMlMlm,
-    cardinality_threshold,
-    local_rcut,
-    loo_deltas,
-    search_power,
-    tune_ml_mlm,
-)
+from .tuning import cardinality_threshold, loo_deltas, search_power, tune_ml_mlm
 
 __version__ = "0.1.0"
 

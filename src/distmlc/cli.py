@@ -39,7 +39,7 @@ from . import data as dataio
 from . import metrics as metricsmod
 from . import models, stats, tuning
 from .linalg import SingularSystemError
-from .modelio import METHODS, ModelFileError, base_model, load_model, method_functions, save_model
+from .modelio import METHODS, ModelFileError, load_model, method_functions, save_model
 
 # the keys of a prediction record, in file order
 PREDICTION_FIELDS = ("scores", "labels", "min_distance", "uncertainty")
@@ -95,7 +95,7 @@ def predict_dataset(method, model, X, threshold=None) -> models.Prediction:
         raise UsageError(f"--threshold applies to ml-mlm only, not to {method}")
     decode = method_functions(method)[1]
     extra = {} if threshold is None else {"threshold": threshold}
-    K, U = base_model(model).coefficients.shape
+    K, U = models.base_model(model).coefficients.shape
     step = max(1, PREDICT_CHUNK_BYTES // (8 * (K + U)))
     # a 0-row X decodes once, to an empty Prediction
     parts = [decode(model, X[i:i + step], **extra) for i in range(0, max(X.shape[0], 1), step)]

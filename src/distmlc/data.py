@@ -150,8 +150,9 @@ def _plain_sparse(items, n_attrs: int) -> tuple[list[int], list[float]] | None:
 
 def read_arff(path) -> tuple[tuple[str, ...], np.ndarray]:
     """Every attribute name of an ARFF file and its N x attributes value
-    matrix, rows in file order (0 rows when there is no data line)."""
-    attr_names: list[str] = []
+    matrix, rows in file order (0 rows when there is no data line). A name
+    declared twice is refused."""
+    attr_names: dict[str, None] = {}  # insertion-ordered, for the repeat check
     rows: list[np.ndarray] = []
     n_attrs = 0
     in_data = False
@@ -166,7 +167,10 @@ def read_arff(path) -> tuple[tuple[str, ...], np.ndarray]:
                     if low.startswith("@relation"):
                         continue
                     if low.startswith("@attribute"):
-                        attr_names.append(_parse_attribute(line))
+                        name = _parse_attribute(line)
+                        if name in attr_names:
+                            raise DataFormatError(f"attribute '{name}' declared twice")
+                        attr_names[name] = None
                         continue
                     if low.startswith("@data"):
                         in_data = True
@@ -210,12 +214,15 @@ def read_arff(path) -> tuple[tuple[str, ...], np.ndarray]:
 
 def read_csv_matrix(path) -> tuple[tuple[str, ...], np.ndarray]:
     """The header row and the value matrix of one CSV file (0 rows when
-    there is only the header)."""
+    there is only the header). A header that names a column twice is refused."""
     rows = []
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = tuple(next(reader, ()))
+            if len(set(header)) < len(header):
+                name = next(n for i, n in enumerate(header) if n in header[:i])
+                raise DataFormatError(f"column '{name}' named twice in the header")
             for row in reader:
                 if not row:
                     continue

@@ -30,8 +30,7 @@ import zipfile
 import numpy as np
 
 from . import models, tuning
-from .models import BrMlmModel, DistanceModel
-from .tuning import TunedMlMlm
+from .models import BrMlmModel, DistanceModel, TunedMlMlm, base_model
 
 FORMAT_VERSION = 4
 # the methods a model file may name, and the record each one's file holds
@@ -43,17 +42,6 @@ _EPOCH = (1980, 1, 1, 0, 0, 0)
 
 class ModelFileError(ValueError):
     """Unreadable or incompatible model file."""
-
-
-def base_model(model) -> DistanceModel:
-    """The distance model inside any trained model."""
-    if isinstance(model, TunedMlMlm):
-        return model.model
-    if isinstance(model, BrMlmModel):
-        return model.base
-    if isinstance(model, DistanceModel):
-        return model
-    raise TypeError(f"not a trained model: {type(model).__name__}")
 
 
 def save_model(path, model, method: str, scale: dict | None = None) -> None:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.spatial.distance import squareform
 
 from .linalg import SingularSystemError, euclidean, fit_ridge, integer_norms, pairwise_distances
 
@@ -106,6 +107,32 @@ class BrMlmModel:
 
 
 @dataclass(frozen=True)
+class TunedMlMlm:
+    """A distance model with tuned power parameter (finite, > 0) and global
+    threshold (finite)."""
+
+    model: DistanceModel
+    power: float
+    threshold: float
+    lrl_curve: tuple[tuple[float, float], ...]
+
+    def __post_init__(self):
+        _check_number(self.power, "power P", "a finite number > 0", lambda v: v > 0)
+        _check_number(self.threshold, "threshold t")
+
+
+def base_model(model) -> DistanceModel:
+    """The distance model inside any trained model."""
+    if isinstance(model, TunedMlMlm):
+        return model.model
+    if isinstance(model, BrMlmModel):
+        return model.base
+    if isinstance(model, DistanceModel):
+        return model
+    raise TypeError(f"not a trained model: {type(model).__name__}")
+
+
+@dataclass(frozen=True)
 class Prediction:
     """Decoded output. For one query row: L scores and 0/1 labels, a float
     min_distance and a str uncertainty bucket; for a Q-row query matrix:
@@ -146,13 +173,15 @@ def auto_alpha(distances) -> float:
     d = np.asarray(distances, dtype=np.float64)
     if d.shape[0] < 2:
         raise ValueError("need at least 2 reference points")
-    iu = np.triu_indices(d.shape[0], k=1)
-    pair_dists = d[iu]
+    # the upper triangle row by row, as triu_indices orders it, without its
+    # two index arrays; the lower triangle is not read
+    pair_dists = squareform(d, checks=False)
     pair_dists = pair_dists[pair_dists > 0.0]
     if pair_dists.size == 0:
         raise ValueError("all pairwise reference distances are zero")
     k = pair_dists.size // 1000
-    return float(np.partition(pair_dists, k)[k])
+    pair_dists.partition(k)
+    return float(pair_dists[k])
 
 
 def first_seen(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,10 +197,10 @@ def fit(X, Y, alpha_mode="auto", label_names=()):
 
     alpha_mode is "auto" (pairwise-distance quantile heuristic) or a
     fixed non-negative float. The output distances are taken to the U
-    unique label vectors only: Dy is N x U. Returns (model, Dx, Dy, gram, B)
+    unique label vectors only: Dy is N x U. Returns (model, Dx, Dy, gram)
     so that the leave-one-out tuning and br-mlm reuse the one
-    factorization: gram is fit_ridge's (None after its SVD fallback), B
-    its K x U solution.
+    factorization: gram is fit_ridge's (None after its SVD fallback), and
+    model.coefficients its K x U solution.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = _check_binary(Y)
@@ -200,7 +229,7 @@ def fit(X, Y, alpha_mode="auto", label_names=()):
         label_names=tuple(label_names),
         label_counts=counts.astype(np.float64),
     )
-    return model, Dx, Dy, gram, B
+    return model, Dx, Dy, gram
 
 
 def train(X, Y, alpha_mode="auto", label_names=()) -> DistanceModel:
@@ -216,7 +245,7 @@ def train_br(X, Y, alpha_mode="auto", label_names=()) -> BrMlmModel:
     t is |Y[n, l] - t|: Y[:, l] for t = 0 and 1 - Y[:, l] for t = 1, so
     one product gives every label's two maps.
     """
-    base, Dx, _, gram, _ = fit(X, Y, alpha_mode=alpha_mode, label_names=label_names)
+    base, Dx, _, gram = fit(X, Y, alpha_mode=alpha_mode, label_names=label_names)
     if gram is None:
         raise SingularSystemError("U = Dx^T Dx + alpha*I is not positive definite")
     Y = np.asarray(Y, dtype=np.float64)  # fit checked it
@@ -330,10 +359,24 @@ def _finish(scores, labels, deltas, one_row: bool) -> Prediction:
     return Prediction(scores, labels, dmin, uncertainty)
 
 
+def local_rcut(scores, k_cut) -> np.ndarray:
+    """Keep the k_cut highest-scored labels; score ties go to smaller indices.
+
+    scores is one row of L scores with an int k_cut, or a Q x L matrix
+    with one k_cut per row.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    k_cut = np.asarray(k_cut)
+    L = scores.shape[-1]
+    if np.any((k_cut < 0) | (k_cut > L)):
+        raise ValueError(f"k_cut must be in [0, {L}]")
+    order = np.argsort(-scores, axis=-1, kind="stable")
+    rank = np.argsort(order, axis=-1)  # each label's place in that order
+    return (rank < k_cut[..., None]).astype(np.int64)
+
+
 def _finish_rank_cut(scores, model: DistanceModel, deltas, one_row: bool) -> Prediction:
     """Label each row's top k scores, k the label count of its nearest reference."""
-    from .tuning import local_rcut
-
     nearest = np.argmin(clamp_deltas(deltas), axis=1)
     k_cut = model.train_labels[nearest].sum(axis=1).astype(np.int64)
     return _finish(scores, local_rcut(scores, k_cut), deltas, one_row)

@@ -8,8 +8,6 @@ one is applied when decoding (models.ml_mlm_predict's threshold).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import RegularizedGram, SingularSystemError, leverages
@@ -21,21 +19,6 @@ POWER_GRID_EXPONENTS = np.round(np.arange(0.0, 8.01, 0.1), 1)  # 81 values
 
 class LeverageError(ValueError):
     """A leverage value is too close to 1 for the LOO formula."""
-
-
-@dataclass(frozen=True)
-class TunedMlMlm:
-    """A distance model with tuned power parameter (finite, > 0) and global
-    threshold (finite)."""
-
-    model: "_models.DistanceModel"
-    power: float
-    threshold: float
-    lrl_curve: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        _models._check_number(self.power, "power P", "a finite number > 0", lambda v: v > 0)
-        _models._check_number(self.threshold, "threshold t")
 
 
 def loo_deltas(gram: RegularizedGram, Dx, Dy, B) -> np.ndarray:
@@ -98,23 +81,7 @@ def cardinality_threshold(loo_scores, Y) -> float:
     return float(candidates[np.nonzero(gap == best)[0].max()])
 
 
-def local_rcut(scores, k_cut) -> np.ndarray:
-    """Keep the k_cut highest-scored labels; score ties go to smaller indices.
-
-    scores is one row of L scores with an int k_cut, or a Q x L matrix
-    with one k_cut per row.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    k_cut = np.asarray(k_cut)
-    L = scores.shape[-1]
-    if np.any((k_cut < 0) | (k_cut > L)):
-        raise ValueError(f"k_cut must be in [0, {L}]")
-    order = np.argsort(-scores, axis=-1, kind="stable")
-    rank = np.argsort(order, axis=-1)  # each label's place in that order
-    return (rank < k_cut[..., None]).astype(np.int64)
-
-
-def tune_ml_mlm(X, Y, alpha_mode="auto", power_mode="tuned", label_names=()) -> TunedMlMlm:
+def tune_ml_mlm(X, Y, alpha_mode="auto", power_mode="tuned", label_names=()) -> _models.TunedMlMlm:
     """Train the distance model and pick power and threshold in one LOO pass.
 
     power_mode is "tuned" or a fixed positive float; the threshold is the
@@ -130,19 +97,18 @@ def tune_ml_mlm(X, Y, alpha_mode="auto", power_mode="tuned", label_names=()) -> 
             "cannot tune the power: no training row has both a relevant and an "
             f"irrelevant label (L = {Y.shape[-1]}), so the leave-one-out ranking "
             "loss has nothing to rank; give a fixed power (--power) instead")
-    model, Dx, Dy, gram, B = _models.fit(
-        X, Y, alpha_mode=alpha_mode, label_names=label_names)
+    model, Dx, Dy, gram = _models.fit(X, Y, alpha_mode=alpha_mode, label_names=label_names)
     if gram is None:
         raise SingularSystemError("U = Dx^T Dx + alpha*I is not positive definite")
-    loo = loo_deltas(gram, Dx, Dy, B)
-    del Dx, Dy, gram, B  # the rest needs only the LOO matrix
+    loo = loo_deltas(gram, Dx, Dy, model.coefficients)
+    del Dx, Dy, gram  # the rest needs only the LOO matrix
     labels, counts = model.train_labels, model.label_counts
     if power_mode == "tuned":
         power, curve = search_power(loo, Y, labels, counts)
     else:
         power, curve = float(power_mode), ()
     threshold = cardinality_threshold(_models.idw_scores(loo, labels, power, counts), Y)
-    return TunedMlMlm(model=model, power=power, threshold=threshold, lrl_curve=curve)
+    return _models.TunedMlMlm(model=model, power=power, threshold=threshold, lrl_curve=curve)
 
 
 def lrl_curve_csv(curve, path) -> None:

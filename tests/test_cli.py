@@ -464,6 +464,21 @@ class TestExitCodes:
             "--out", str(tmp_path / "m.dmlm"),
         ]) == 2
 
+    @pytest.mark.parametrize("first, second", [("{0,1}", "numeric"), ("numeric", "{0,1}")])
+    def test_data_error_attribute_declared_twice(self, tmp_path, capsys, first, second):
+        # the manifest names labels a and b; a second 'a' would leave one of
+        # them among the features, which predict then drops
+        p, xml = tmp_path / "d.arff", tmp_path / "labels.xml"
+        p.write_text(f"@relation r\n@attribute x1 numeric\n@attribute x2 numeric\n"
+                     f"@attribute a {first}\n@attribute b {{0,1}}\n@attribute a {second}\n"
+                     "@data\n0,1,1,0,1\n1,0,0,1,0\n2,2,1,1,0\n")
+        xml.write_text('<labels><label name="a"/><label name="b"/></labels>')
+        model_path = tmp_path / "m.dmlm"
+        assert cli.main(["train", f"{p}@{xml}", "--method", "nn-mlm",
+                         "--out", str(model_path)]) == 2
+        assert f"{p} line 6: attribute 'a' declared twice" in capsys.readouterr().err
+        assert not model_path.exists()
+
     def test_numerical_error_leverage_one(self, tmp_path):
         # alpha 0 with n == k makes every leverage exactly one
         X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])

@@ -109,8 +109,11 @@ class TestParseArff:
         (HEAD + "?,1\n", "line 5: missing value"),
         (HEAD + '"1,2",1\n', "line 5: non-numeric value '1,2'"),
         (HEAD + "1,0\n \t \n1,y\n", "line 7: non-numeric value 'y'"),
+        ("@relation r\n@attribute a {0,1}\n@attribute x numeric\n@attribute 'a' numeric\n"
+         "@data\n", "line 4: attribute 'a' declared twice"),
     ], ids=["unterminated-name", "non-numeric", "sparse-index", "sparse-range", "csv-text",
-            "nan", "inf", "trailing-comma", "question-mark", "quoted-comma", "blank-line"])
+            "nan", "inf", "trailing-comma", "question-mark", "quoted-comma", "blank-line",
+            "repeated-name"])
     def test_errors_name_file_and_line(self, tmp_path, text, message):
         p = tmp_path / "bad.arff"
         p.write_text(text)
@@ -206,6 +209,15 @@ class TestReadTable:
             assert values.shape == (0, 3)
             with pytest.raises(dataio.DataFormatError, match="empty dataset"):
                 dataio.load_dataset(str(path), labels_last=1)
+
+    def test_header_naming_a_column_twice_refused_on_line_1(self, tmp_path):
+        repeated, other = tmp_path / "r.csv", tmp_path / "o.csv"
+        repeated.write_text("a,b,a\n1,2,0\n")
+        other.write_text("y\n1\n")
+        message = "^" + re.escape(f"{repeated} line 1: column 'a' named twice in the header") + "$"
+        for spec in (str(repeated), f"{repeated};{other}", f"{other};{repeated}"):
+            with pytest.raises(dataio.DataFormatError, match=message):
+                dataio.load_dataset(spec, labels_last=1)
 
     def test_spec_without_label_columns_refused(self, dense_file):
         with pytest.raises(dataio.SpecError):

@@ -8,13 +8,8 @@ from hypothesis import strategies as st
 
 from distmlc import linalg, modelio, models, tuning
 from distmlc.linalg import fit_ridge, pairwise_distances
-from distmlc.tuning import (
-    TunedMlMlm,
-    cardinality_threshold,
-    local_rcut,
-    search_power,
-    tune_ml_mlm,
-)
+from distmlc.models import TunedMlMlm, local_rcut
+from distmlc.tuning import cardinality_threshold, search_power, tune_ml_mlm
 
 from conftest import (
     brute_force_mlc,
@@ -576,8 +571,6 @@ class TestMlMlmThresholding:
         rng = np.random.default_rng(28)
         X, Y = random_problem(rng, n=12, m=3, l=3)
         model = models.train(X, Y, alpha_mode=0.1)
-        from distmlc.tuning import TunedMlMlm
-
         return TunedMlMlm(model=model, power=2.0, threshold=t, lrl_curve=()), X
 
     def test_threshold_above_range_empty(self):
@@ -623,8 +616,6 @@ def test_large_power_limit_matches_nearest_reference():
     rng = np.random.default_rng(30)
     X, Y = random_problem(rng, n=20, m=4, l=4)
     model = models.train(X, Y, alpha_mode=0.1)
-    from distmlc.tuning import TunedMlMlm
-
     tuned = TunedMlMlm(model=model, power=2.0**8, threshold=0.5, lrl_curve=())
     for x in rng.normal(size=(10, 4)):
         deltas = models.clamp_deltas(models.predict_deltas(model, x))
@@ -710,8 +701,8 @@ class TestUniqueLabelVectors:
 
     def test_tuning_matches_n_columns(self, problem, reference):
         X, Y, _ = problem
-        model, Dx, Dy, gram, B = models.fit(X, Y, alpha_mode=self.ALPHA)
-        loo = tuning.loo_deltas(gram, Dx, Dy, B)
+        model, Dx, Dy, gram = models.fit(X, Y, alpha_mode=self.ALPHA)
+        loo = tuning.loo_deltas(gram, Dx, Dy, model.coefficients)
         loo_n = loo_from_fit(reference["Dx"], pairwise_distances(Y, Y), self.ALPHA)
         np.testing.assert_allclose(loo, loo_n[:, reference["first"]], rtol=1e-9, atol=1e-9)
 
@@ -815,7 +806,7 @@ class TestIntegerFeatures:
     def test_a_row_alone_has_its_batch_distances(self, problem, method):
         X, Y, Q = problem
         model, batch = self.fit_and_decode(method, X, Y, Q)
-        decode, base = modelio.method_functions(method)[1], modelio.base_model(model)
+        decode, base = modelio.method_functions(method)[1], models.base_model(model)
         deltas = models.predict_deltas(base, Q)
         for i, q in enumerate(Q):
             alone = decode(model, q)

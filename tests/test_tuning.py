@@ -189,20 +189,20 @@ class TestCardinalityThreshold:
 
 class TestLocalRcut:
     def test_full_cut(self):
-        out = tuning.local_rcut(np.array([0.2, 0.9, 0.4]), 3)
+        out = models.local_rcut(np.array([0.2, 0.9, 0.4]), 3)
         np.testing.assert_array_equal(out, [1, 1, 1])
 
     def test_empty_cut(self):
-        out = tuning.local_rcut(np.array([0.2, 0.9, 0.4]), 0)
+        out = models.local_rcut(np.array([0.2, 0.9, 0.4]), 0)
         np.testing.assert_array_equal(out, [0, 0, 0])
 
     def test_tie_break_smaller_index(self):
-        out = tuning.local_rcut(np.array([0.3, 0.9, 0.3]), 2)
+        out = models.local_rcut(np.array([0.3, 0.9, 0.3]), 2)
         np.testing.assert_array_equal(out, [1, 1, 0])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            tuning.local_rcut(np.zeros(3), 4)
+            models.local_rcut(np.zeros(3), 4)
 
     @given(
         scores=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10),
@@ -212,7 +212,7 @@ class TestLocalRcut:
     def test_cardinality_always_k_cut(self, scores, frac):
         scores = np.array(scores)
         k = int(round(frac * scores.size))
-        assert tuning.local_rcut(scores, k).sum() == k
+        assert models.local_rcut(scores, k).sum() == k
 
 
 class TestTuneMlMlm:
@@ -229,8 +229,8 @@ class TestTuneMlMlm:
         rng = np.random.default_rng(49)
         X, Y = random_problem(rng, n=15, m=3, l=3)
         tuned = tuning.tune_ml_mlm(X, Y, alpha_mode=0.1, power_mode=2.0)
-        model, Dx, Dy, gram, B = models.fit(X, Y, alpha_mode=0.1)
-        loo = tuning.loo_deltas(gram, Dx, Dy, B)
+        model, Dx, Dy, gram = models.fit(X, Y, alpha_mode=0.1)
+        loo = tuning.loo_deltas(gram, Dx, Dy, model.coefficients)
         scores = models.idw_scores(loo, model.train_labels, 2.0, model.label_counts)
         assert (tuned.power, tuned.lrl_curve) == (2.0, ())
         assert tuned.threshold == tuning.cardinality_threshold(scores, Y)
