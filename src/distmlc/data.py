@@ -227,7 +227,7 @@ def read_csv_matrix(path) -> tuple[tuple[str, ...], np.ndarray]:
                 if not row:
                     continue
                 if len(row) != len(header):
-                    raise DataFormatError("ragged row")
+                    raise DataFormatError(f"expected {len(header)} values, got {len(row)}")
                 values = _plain_floats(row)
                 rows.append([_parse_value(t) for t in row] if values is None else values)
     except (DataFormatError, csv.Error) as exc:

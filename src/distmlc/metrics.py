@@ -7,6 +7,7 @@ irrelevant label set is empty are excluded from the ranking means.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict, fields
 
 import numpy as np
@@ -150,19 +151,16 @@ def ranking_loss(scores, truth) -> float:
     n_irr = rel.shape[1] - n_rel
     irr_so_far = np.cumsum(~rel_sorted, axis=1)
     violations = ((n_irr[:, None] - irr_so_far) * rel_sorted).sum(axis=1)
-    return float((violations / (n_rel * n_irr)).mean())
+    # fsum rounds once, so the mean does not depend on the order of the rows
+    return math.fsum(violations / (n_rel * n_irr)) / violations.size
 
 
 def coverage(scores, truth) -> float:
     """Ranking depth needed to capture every relevant label: the worst
     relevant label's rank minus one."""
     Z, G = _rankable(scores, truth, need_irrelevant=False)
-    total = 0.0
-    for z, g in zip(Z, G):
-        worst = z[g == 1.0].min()
-        depth = np.count_nonzero(z >= worst)
-        total += depth - 1
-    return total / Z.shape[0]
+    worst = np.where(G == 1.0, Z, np.inf).min(axis=1, keepdims=True)
+    return float(np.count_nonzero(Z >= worst, axis=1).sum() - Z.shape[0]) / Z.shape[0]
 
 
 def one_error(scores, truth) -> float:
@@ -175,14 +173,11 @@ def one_error(scores, truth) -> float:
 def average_precision(scores, truth) -> float:
     Z, G = _rankable(scores, truth, need_irrelevant=False)
     total = 0.0
-    for z, g in zip(Z, G):
-        rel = np.nonzero(g == 1.0)[0]
-        acc = 0.0
-        for j in rel:
-            above_rel = np.count_nonzero(z[rel] >= z[j])
-            above_all = np.count_nonzero(z >= z[j])
-            acc += above_rel / above_all
-        total += acc / rel.size
+    for z, rel in zip(Z, G == 1.0):
+        # row j: which labels score at least as high as relevant label j
+        above = z >= z[rel, None]
+        total += float(np.mean(np.count_nonzero(above[:, rel], axis=1)
+                               / np.count_nonzero(above, axis=1)))
     return total / Z.shape[0]
 
 

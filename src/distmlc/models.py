@@ -284,13 +284,14 @@ def _deltas(model: DistanceModel, x) -> tuple[np.ndarray, bool]:
 
 
 def _rowwise_product(d: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """d @ coefficients by rows, so that a row gets the same bits in a batch as
-    alone: a matrix product's round-off varies with the batch height, and at
-    P = 256 the IDW weights turned 1e-14 in a delta into 1.4e-12 in a score."""
-    out = np.empty((d.shape[0], coefficients.shape[1]))
-    for i, row in enumerate(d):
-        np.matmul(row, coefficients, out=out[i])
-    return out
+    """The Q x K rows d times a K x U matrix (Q x U), or times each map of an
+    S x K x U stack (Q x S x U), one row at a time, so that a row gets the same
+    bits in a batch as alone: a matrix product's round-off varies with the
+    batch height, and at P = 256 the IDW weights turned 1e-14 in a delta into
+    1.4e-12 in a score. Each row is a 1 x K matrix of a stacked matmul, which
+    numpy runs through the vector-matrix loop that a lone 1-D row takes."""
+    rows = d.reshape(d.shape[0], *(1,) * (coefficients.ndim - 1), d.shape[1])
+    return np.matmul(rows, coefficients).squeeze(-2)
 
 
 def clamp_deltas(deltas: np.ndarray) -> np.ndarray:
@@ -527,9 +528,8 @@ def br_mlm_predict(model: BrMlmModel, x) -> Prediction:
     """
     base = model.base
     d, one_row = _distances(base, x)
-    # each label's predicted distances to its 0- and 1-valued training rows,
-    # 2 x Q x L, viewed as Q x 2 x L
-    delta_cols = (d @ model.label_coefficients).transpose(1, 0, 2)
+    # each label's predicted distances to its 0- and 1-valued training rows, Q x 2 x L
+    delta_cols = _rowwise_product(d, model.label_coefficients)
     n1 = base.label_counts @ base.train_labels
     counts = np.stack([base.label_counts.sum() - n1, n1])
     targets = np.array([[0.0], [1.0]])

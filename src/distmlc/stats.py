@@ -88,8 +88,7 @@ def average_ranks(table: ResultTable) -> np.ndarray:
     """Per-dataset midranks (1 = best in the table's direction), averaged."""
     from scipy.stats import rankdata  # on use: slower to import than distmlc
     vals = table.values if table.direction == LOWER_BETTER else -table.values
-    ranks = np.vstack([rankdata(row, method="average") for row in vals])
-    return ranks.mean(axis=0)
+    return rankdata(vals, method="average", axis=1).mean(axis=0)
 
 
 def friedman_test(table: ResultTable, alpha: float = 0.05) -> tuple[float, bool]:
@@ -111,25 +110,6 @@ def nemenyi_cd(k: int, n: int) -> float:
     return _Q_005[k] * math.sqrt(k * (k + 1) / (6.0 * n))
 
 
-def _maximal_cliques(order: np.ndarray, ranks: np.ndarray, cd: float) -> list[list[int]]:
-    # methods are points on the rank axis; groups are maximal runs of
-    # consecutive methods whose rank spread is within the CD
-    cliques = []
-    k = len(order)
-    for i in range(k):
-        j = i
-        while j + 1 < k and ranks[order[j + 1]] - ranks[order[i]] <= cd:
-            j += 1
-        if j > i:
-            cliques.append(list(order[i : j + 1]))
-    # drop cliques nested in an earlier (longer) one
-    keep = []
-    for c in cliques:
-        if not any(set(c) < set(other) for other in cliques):
-            keep.append(c)
-    return keep
-
-
 def cd_diagram_data(table: ResultTable) -> dict:
     """Average ranks, CD value, and non-significant groups at alpha = 0.05,
     JSON-serializable."""
@@ -137,11 +117,12 @@ def cd_diagram_data(table: ResultTable) -> dict:
     stat, reject = friedman_test(table)
     cd = nemenyi_cd(len(table.methods), len(table.datasets))
     order = np.argsort(ranks, kind="stable")
-    cliques = _maximal_cliques(order, ranks, cd)
-    singles = [
-        [i] for i in range(len(table.methods)) if not any(i in c for c in cliques)
-    ]
-    groups = sorted(cliques + singles, key=lambda c: float(ranks[c[0]]))
+    r = ranks[order]
+    # groups are maximal runs of rank-sorted methods whose rank spread is within
+    # the CD. Run i ends at the last method within the CD of method i; as the
+    # ends never decrease, a run is nested in run i - 1 unless it reaches past it
+    ends = np.count_nonzero(r[None, :] - r[:, None] <= cd, axis=1) - 1
+    groups = [order[i : ends[i] + 1] for i in np.flatnonzero(np.diff(ends, prepend=-1))]
     return {
         "alpha": 0.05,
         "friedman_statistic": stat,

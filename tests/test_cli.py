@@ -378,6 +378,20 @@ class TestBenchmark:
         assert "names" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("dataset, methods, message", [
+        ("toy,{train}", "ml-mlm",
+         "--dataset expects 'name,trainspec,testspec', got 'toy,{train}'"),
+        ("toy,{train},{test}", "ml-mlm,foo", "unknown method 'foo'"),
+    ], ids=["two-field-dataset", "unknown-method"])
+    def test_malformed_argument_is_usage_error(self, tmp_path, toy_specs, capsys,
+                                               dataset, methods, message):
+        train, test = toy_specs
+        out_dir = tmp_path / "run"
+        assert cli.main(["benchmark", "--dataset", dataset.format(train=train, test=test),
+                         "--methods", methods, "--out-dir", str(out_dir)]) == 1
+        assert message.format(train=train) in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_repeated_dataset_is_usage_error(self, tmp_path, toy_specs, capsys):
         train, test = toy_specs
         out_dir = tmp_path / "run"
@@ -404,6 +418,11 @@ class TestStatsCommand:
         d = json.loads(out.read_text())
         assert d["methods"] == ["a", "b", "c"]
         assert d["average_ranks"][0] == 1.0
+        # blank rows are skipped
+        spaced, out2 = tmp_path / "spaced.csv", tmp_path / "cd2.json"
+        spaced.write_text(table.read_text().replace("\n", "\n\n"))
+        assert cli.main(["stats", str(spaced), "--direction", "lower", "--out", str(out2)]) == 0
+        assert out2.read_bytes() == out.read_bytes()
 
     @pytest.mark.parametrize("text, message", [
         ("dataset,a,b\nd1,0.1,0.2\nd2,0.2,x\n",
@@ -497,6 +516,7 @@ class TestExitCodes:
         ["predict", "{model}", "{test}", "--threshold", "nope"],
         ["train", "{train}", "--labels-last", "0"],
         ["train", "{train}", "--labels-last", "-1"],
+        ["train", "{train}", "--labels-last", "abc"],
     ])
     def test_usage_error_malformed_flag_value(self, tmp_path, toy_specs, capsys, argv):
         train, test = toy_specs
@@ -534,12 +554,15 @@ class TestExitCodes:
          "{preds} line 8: not a prediction record (ValueError: could not convert string"),
         ('{"scores": [[1], 0.5, 0.5], "labels": [1, 0, 1]}',
          "{preds} line 8: not a prediction record (ValueError: "),
+        ('{"scores": [[0.5, 0.5, 0.5]], "labels": [1, 0, 1]}',
+         "{preds} line 8: not a prediction record "
+         "(ValueError: scores and labels must be lists of numbers)"),
         ('{"scores": [NaN, 0.5, 0.5], "labels": [1, 0, 1]}',
          "{preds} line 8: a score is not finite"),
         ('{"scores": [0.5, 0.5, 0.5], "labels": [2, 0, 1]}',
          "{preds} line 8: a label is not 0 or 1"),
     ], ids=["no-scores", "not-json", "ragged-scores", "ragged-labels", "wider-than-truth",
-            "non-numeric-score", "nested-score", "nan-score", "label-2"])
+            "non-numeric-score", "nested-score", "nested-list", "nan-score", "label-2"])
     def test_data_error_bad_prediction_record(self, tmp_path, toy_specs, capsys, line, message):
         train, test = toy_specs
         model, preds = tmp_path / "m.dmlm", tmp_path / "p.jsonl"
@@ -556,6 +579,25 @@ class TestExitCodes:
         report = tmp_path / "r.json"
         assert cli.main(["evaluate", str(preds), test, "--out", str(report)]) == 2
         assert message.format(preds=preds, test=test) in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_blank_prediction_lines_skipped(self, tmp_path, toy_specs):
+        train, test = toy_specs
+        model, preds, spaced = tmp_path / "m.dmlm", tmp_path / "p.jsonl", tmp_path / "s.jsonl"
+        cli.main(["train", train, "--alpha", "0.1", "--out", str(model)])
+        cli.main(["predict", str(model), test, "--out", str(preds)])
+        spaced.write_text("\n" + preds.read_text().replace("\n", "\n \n"))
+        reports = [tmp_path / "r.json", tmp_path / "r_spaced.json"]
+        for p, report in zip((preds, spaced), reports):
+            assert cli.main(["evaluate", str(p), test, "--out", str(report)]) == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+
+    def test_data_error_no_prediction_records(self, tmp_path, toy_specs, capsys):
+        _, test = toy_specs
+        preds, report = tmp_path / "p.jsonl", tmp_path / "r.json"
+        preds.write_text("\n  \n")
+        assert cli.main(["evaluate", str(preds), test, "--out", str(report)]) == 2
+        assert f"{preds}: no prediction records" in capsys.readouterr().err
         assert not report.exists()
 
     def test_data_error_directory_input(self, tmp_path, toy_specs, capsys):

@@ -111,9 +111,11 @@ class TestParseArff:
         (HEAD + "1,0\n \t \n1,y\n", "line 7: non-numeric value 'y'"),
         ("@relation r\n@attribute a {0,1}\n@attribute x numeric\n@attribute 'a' numeric\n"
          "@data\n", "line 4: attribute 'a' declared twice"),
+        ("@relation r\n@attribute a\n@data\n", "line 2: malformed @attribute"),
+        ("@relation r\n@data\n1\n", "line 2: no attributes declared before @data"),
     ], ids=["unterminated-name", "non-numeric", "sparse-index", "sparse-range", "csv-text",
             "nan", "inf", "trailing-comma", "question-mark", "quoted-comma", "blank-line",
-            "repeated-name"])
+            "repeated-name", "attribute-without-type", "data-before-attributes"])
     def test_errors_name_file_and_line(self, tmp_path, text, message):
         p = tmp_path / "bad.arff"
         p.write_text(text)
@@ -125,6 +127,19 @@ class TestParseArff:
         xml.write_text('<labels><label name="nosuch"/></labels>')
         with pytest.raises(dataio.DataFormatError):
             dataio.load_dataset(f"{dense_file}@{xml}")
+
+    def test_manifest_without_labels_refused(self, dense_file, tmp_path):
+        xml = tmp_path / "none.xml"
+        xml.write_text('<labels><attribute name="labelA"/></labels>')
+        with pytest.raises(dataio.DataFormatError,
+                           match="^" + re.escape(f"no label entries found in manifest {xml}") + "$"):
+            dataio.load_dataset(f"{dense_file}@{xml}")
+
+    @pytest.mark.parametrize("labels_last", [4, 5])
+    def test_labels_last_leaving_no_feature_refused(self, dense_file, labels_last):
+        message = f"{dense_file}: labels_last {labels_last} out of range"
+        with pytest.raises(dataio.DataFormatError, match="^" + re.escape(message) + "$"):
+            dataio.load_dataset(str(dense_file), labels_last=labels_last)
 
     def test_missing_value_rejected(self, tmp_path):
         p = tmp_path / "mv.arff"
@@ -161,6 +176,21 @@ class TestParseCsv:
         l.write_text("y\n1\n")
         with pytest.raises(dataio.DataFormatError):
             dataio.load_dataset(f"{f};{l}")
+
+    def test_blank_rows_skipped(self, tmp_path):
+        p = tmp_path / "b.csv"
+        p.write_text("a,y\n1,0\n\n2,1\n\n")
+        names, values = dataio.read_csv_matrix(p)
+        assert names == ("a", "y")
+        np.testing.assert_array_equal(values, [[1.0, 0.0], [2.0, 1.0]])
+
+    @pytest.mark.parametrize("row, count", [("1", 1), ("1,0,2", 3)])
+    def test_ragged_row_refused_with_counts(self, tmp_path, row, count):
+        p = tmp_path / "r.csv"
+        p.write_text(f"a,y\n1,0\n{row}\n")
+        message = f"{p} line 3: expected 2 values, got {count}"
+        with pytest.raises(dataio.DataFormatError, match="^" + re.escape(message) + "$"):
+            dataio.load_dataset(str(p), labels_last=1)
 
     def test_nonbinary_label_rejected(self, tmp_path):
         f, l = self._write_pair(tmp_path, [[0.0, 1.0], [2.0, 3.0]], [1, 2])

@@ -18,8 +18,8 @@ reference), when its scores at the rank cut are (the smaller index wins),
 when a score is within 1e-9 of ml-mlm's threshold, or when its nearest
 distance is within 1e-9 of a bucket edge. ml-mlm's power search takes the
 first of equal minima of a ranking loss over near-equal LOO scores, and
-rounding decides such ties in about 1 in 100 row-permuted problems of this
-size, so the transformed ml-mlm model is trained at the baseline's power,
+their rounding decides such ties in about 1 in 250 row-permuted problems of
+this size, so the transformed ml-mlm model is trained at the baseline's power,
 and test_loo_deltas_are_equivariant checks the LOO distances it searches.
 """
 import numpy as np

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distmlc import metrics
 
@@ -107,6 +109,31 @@ def oracle_average_precision(scores, truth):
             acc += num / den
         vals.append(acc / len(rel))
     return float(np.mean(vals))
+
+
+def loop_coverage(scores, truth):
+    """coverage as a row loop summing each row's depth (the reference for
+    the vectorised form, which must give the same bits)."""
+    Z, G = metrics._rankable(scores, truth, need_irrelevant=False)
+    total = 0.0
+    for z, g in zip(Z, G):
+        worst = z[g == 1.0].min()
+        total += np.count_nonzero(z >= worst) - 1
+    return total / Z.shape[0]
+
+
+def loop_average_precision(scores, truth):
+    """average_precision with a loop over each row's relevant labels, summed in
+    label order (the vectorised form sums them pairwise, within 1e-12)."""
+    Z, G = metrics._rankable(scores, truth, need_irrelevant=False)
+    total = 0.0
+    for z, g in zip(Z, G):
+        rel = np.nonzero(g == 1.0)[0]
+        acc = 0.0
+        for j in rel:
+            acc += np.count_nonzero(z[rel] >= z[j]) / np.count_nonzero(z >= z[j])
+        total += acc / rel.size
+    return total / Z.shape[0]
 
 
 def random_eval_instance(rng):
@@ -243,6 +270,36 @@ class TestOracleSuite:
             for fn, oracle, kind in pairs:
                 arg = pred if kind == "pred" else scores
                 assert abs(fn(arg, truth) - oracle(arg, truth)) < 1e-12
+
+
+class TestLoopReferences:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_coverage_and_average_precision_match_row_loops(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            n, l = int(rng.integers(1, 30)), int(rng.integers(2, 25))
+            # few distinct scores give ties; many relevant labels a row give
+            # rows that numpy sums pairwise
+            levels = int(rng.integers(2, 2 * l))
+            scores = rng.integers(0, levels, (n, l)) / levels
+            truth = (rng.random((n, l)) < rng.uniform(0.1, 0.9)).astype(float)
+            truth[0, 0] = 1.0
+            assert metrics.coverage(scores, truth) == loop_coverage(scores, truth)
+            ap = metrics.average_precision(scores, truth)
+            assert abs(ap - loop_average_precision(scores, truth)) <= 1e-12
+            assert type(ap) is float and type(metrics.coverage(scores, truth)) is float
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), l=st.integers(2, 8),
+       ties=st.booleans())
+@settings(max_examples=100)
+def test_ranking_loss_ignores_row_order(seed, n, l, ties):
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(0, 3, (n, l)) / 3 if ties else rng.random((n, l))
+    truth = (rng.random((n, l)) < 0.5).astype(float)
+    truth[0, :2] = (1.0, 0.0)
+    perm = rng.permutation(n)
+    assert metrics.ranking_loss(scores[perm], truth[perm]) == metrics.ranking_loss(scores, truth)
 
 
 class TestEvalReport:

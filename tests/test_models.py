@@ -642,10 +642,20 @@ def test_matrix_query_matches_one_row_queries(decoder):
     Q = rng.normal(size=(6, 4))
     batch = call(model, Q)
     rows = [call(model, q) for q in Q]
+    base = models.base_model(model)
+    deltas = models.predict_deltas(base, Q)
+    for q, batch_deltas in zip(Q, deltas):
+        np.testing.assert_array_equal(models.predict_deltas(base, q).view(np.int64),
+                                      batch_deltas.view(np.int64))
     assert batch.scores.shape == (6, 4) and batch.labels.shape == (6, 4)
-    np.testing.assert_allclose(batch.scores, [r.scores for r in rows], rtol=1e-12, atol=1e-12)
+    scores = np.array([r.scores for r in rows], dtype=np.float64)
+    if decoder in ("nn", "br"):
+        np.testing.assert_array_equal(batch.scores.view(np.int64), scores.view(np.int64))
+    else:  # idw_ratio's @ weights and lls_scores' lstsq run on the whole batch
+        np.testing.assert_allclose(batch.scores, scores, rtol=1e-12, atol=1e-12)
     np.testing.assert_array_equal(batch.labels, [r.labels for r in rows])
-    np.testing.assert_allclose(batch.min_distance, [r.min_distance for r in rows], rtol=1e-12)
+    np.testing.assert_array_equal(batch.min_distance.view(np.int64),
+                                  np.array([r.min_distance for r in rows]).view(np.int64))
     assert list(batch.uncertainty) == [r.uncertainty for r in rows]
     assert all(isinstance(r.min_distance, float) and isinstance(r.uncertainty, str)
                for r in rows)

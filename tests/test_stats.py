@@ -25,6 +25,32 @@ def make_table(values, direction=stats.LOWER_BETTER):
     )
 
 
+def loop_average_ranks(table):
+    """average_ranks with one rankdata call per dataset (the reference for
+    the single call over the table, which must give the same bits)."""
+    from scipy.stats import rankdata
+    vals = table.values if table.direction == stats.LOWER_BETTER else -table.values
+    return np.vstack([rankdata(row, method="average") for row in vals]).mean(axis=0)
+
+
+def loop_cd_groups(ranks, cd):
+    """The CD groups by enumeration: every maximal run of rank-sorted methods
+    whose rank spread is within cd, runs nested in a longer one dropped, each
+    method in no run alone, all ordered by their first method's rank."""
+    order = np.argsort(ranks, kind="stable")
+    k = len(order)
+    runs = []
+    for i in range(k):
+        j = i
+        while j + 1 < k and ranks[order[j + 1]] - ranks[order[i]] <= cd:
+            j += 1
+        if j > i:
+            runs.append(list(order[i : j + 1]))
+    runs = [c for c in runs if not any(set(c) < set(other) for other in runs)]
+    singles = [[i] for i in range(k) if not any(i in c for c in runs)]
+    return sorted(runs + singles, key=lambda c: float(ranks[c[0]]))
+
+
 class TestResultTable:
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(81)
@@ -146,6 +172,22 @@ class TestCdDiagram:
         back = json.loads(p.read_text())
         assert back["methods"] == d["methods"]
         assert back["critical_difference"] == d["critical_difference"]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_loop_references(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            k, n = int(rng.integers(2, 21)), int(rng.integers(2, 31))
+            # spread methods apart by varying amounts; few distinct values give ties
+            spread = rng.uniform(0.0, 3.0) * rng.random(k)
+            vals = np.round(spread + rng.normal(size=(n, k)), int(rng.integers(0, 3)))
+            table = make_table(vals, rng.choice([stats.LOWER_BETTER, stats.HIGHER_BETTER]))
+            ranks = loop_average_ranks(table)
+            np.testing.assert_array_equal(stats.average_ranks(table).view(np.int64),
+                                          ranks.view(np.int64))
+            d = stats.cd_diagram_data(table)
+            assert d["groups"] == [[f"m{i}" for i in c]
+                                   for c in loop_cd_groups(ranks, d["critical_difference"])]
 
     def test_isolated_method_is_singleton_group(self):
         rng = np.random.default_rng(85)
