@@ -253,44 +253,40 @@ def train_br(X, Y, alpha_mode="auto", label_names=()) -> BrMlmModel:
     return BrMlmModel(base=base, label_coefficients=maps)
 
 
-def _distances(model: DistanceModel, x) -> tuple[np.ndarray, bool]:
-    """Q x K distances from the queries x (M values, or a Q x M matrix) to the
-    model's references, and whether x was one row. Only x is checked here:
+def _distances(model: DistanceModel, x) -> np.ndarray:
+    """Distances from the query x to the model's K references: K of them for
+    one row of M values, Q x K for a Q x M matrix. This is the one place that
+    looks at a query's rank; every later step works on the last axis, so a row
+    alone and a row in a batch take the same code. Only x is checked here:
     the references were checked when the model was built."""
     x = np.asarray(x, dtype=np.float64)
-    X = np.atleast_2d(x)
-    if X.ndim != 2:
+    if x.ndim not in (1, 2):
         raise ValueError(f"query must be one row or a matrix, got shape {x.shape}")
-    if X.shape[1] != model.n_features:
+    if x.shape[-1] != model.n_features:
         raise ValueError(
-            f"query has {X.shape[1]} features, model expects {model.n_features}"
+            f"query has {x.shape[-1]} features, model expects {model.n_features}"
         )
-    if not np.all(np.isfinite(X)):
+    if not np.all(np.isfinite(x)):
         raise ValueError("query contains non-finite entries")
-    return euclidean(X, model.references, model.reference_norms), x.ndim == 1
+    d = euclidean(np.atleast_2d(x), model.references, model.reference_norms)
+    return d.reshape(*x.shape[:-1], d.shape[-1])
 
 
 def predict_deltas(model: DistanceModel, x) -> np.ndarray:
     """Raw (unclamped) predicted distances to the U unique label vectors: U
     for one query of M values, Q x U for a Q x M matrix of queries."""
-    d, one_row = _distances(model, x)
-    deltas = _rowwise_product(d, model.coefficients)
-    return deltas[0] if one_row else deltas
-
-
-def _deltas(model: DistanceModel, x) -> tuple[np.ndarray, bool]:
-    """predict_deltas(model, x) as a Q x U matrix, and whether x was one row."""
-    return np.atleast_2d(predict_deltas(model, x)), np.ndim(x) == 1
+    return _rowwise_product(_distances(model, x), model.coefficients)
 
 
 def _rowwise_product(d: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """The Q x K rows d times a K x U matrix (Q x U), or times each map of an
-    S x K x U stack (Q x S x U), one row at a time, so that a row gets the same
-    bits in a batch as alone: a matrix product's round-off varies with the
-    batch height, and at P = 256 the IDW weights turned 1e-14 in a delta into
-    1.4e-12 in a score. Each row is a 1 x K matrix of a stacked matmul, which
-    numpy runs through the vector-matrix loop that a lone 1-D row takes."""
-    rows = d.reshape(d.shape[0], *(1,) * (coefficients.ndim - 1), d.shape[1])
+    """The K distances d, or Q x K rows of them, times a K x U matrix (U, or
+    Q x U), or times each map of an S x K x U stack (S x U, or Q x S x U), one
+    row at a time, so that a row gets the same bits in a batch as alone: a
+    matrix product's round-off varies with the batch height, and at P = 256 the
+    IDW weights turned 1e-14 in a delta into 1.4e-12 in a score. Each row is a
+    1 x K matrix of a (stacked) matmul, which numpy runs through the
+    vector-matrix loop that a lone 1-D row takes."""
+    rows = d.reshape(*d.shape[:-1], *(1,) * (coefficients.ndim - 1), d.shape[-1])
     return np.matmul(rows, coefficients).squeeze(-2)
 
 
@@ -351,13 +347,9 @@ def categorize_uncertainty(min_distance):
     return str(buckets) if buckets.ndim == 0 else buckets
 
 
-def _finish(scores, labels, deltas, one_row: bool) -> Prediction:
-    dmin = clamp_deltas(deltas).min(axis=1)
-    uncertainty = categorize_uncertainty(dmin)
-    labels = labels.astype(np.int64)
-    if one_row:
-        return Prediction(scores[0], labels[0], float(dmin[0]), str(uncertainty[0]))
-    return Prediction(scores, labels, dmin, uncertainty)
+def _finish(scores, labels, deltas) -> Prediction:
+    dmin = clamp_deltas(deltas).min(axis=-1)
+    return Prediction(scores, labels.astype(np.int64), dmin, categorize_uncertainty(dmin))
 
 
 def local_rcut(scores, k_cut) -> np.ndarray:
@@ -376,11 +368,11 @@ def local_rcut(scores, k_cut) -> np.ndarray:
     return (rank < k_cut[..., None]).astype(np.int64)
 
 
-def _finish_rank_cut(scores, model: DistanceModel, deltas, one_row: bool) -> Prediction:
+def _finish_rank_cut(scores, model: DistanceModel, deltas) -> Prediction:
     """Label each row's top k scores, k the label count of its nearest reference."""
-    nearest = np.argmin(clamp_deltas(deltas), axis=1)
-    k_cut = model.train_labels[nearest].sum(axis=1).astype(np.int64)
-    return _finish(scores, local_rcut(scores, k_cut), deltas, one_row)
+    nearest = np.argmin(clamp_deltas(deltas), axis=-1)
+    k_cut = model.train_labels[nearest].sum(axis=-1).astype(np.int64)
+    return _finish(scores, local_rcut(scores, k_cut), deltas)
 
 
 def nn_mlm_predict(model: DistanceModel, x) -> Prediction:
@@ -388,9 +380,9 @@ def nn_mlm_predict(model: DistanceModel, x) -> Prediction:
 
     Ties at the minimum go to the first seen in training.
     """
-    deltas, one_row = _deltas(model, x)
-    rows = model.train_labels[np.argmin(clamp_deltas(deltas), axis=1)]
-    return _finish(rows, rows, deltas, one_row)
+    deltas = predict_deltas(model, x)
+    rows = model.train_labels[np.argmin(clamp_deltas(deltas), axis=-1)]
+    return _finish(rows, rows, deltas)
 
 
 def ml_mlm_predict(tuned, x, threshold=None) -> Prediction:
@@ -398,15 +390,15 @@ def ml_mlm_predict(tuned, x, threshold=None) -> Prediction:
     "cardinality" (labels are scores above the tuned threshold), a float
     (scores above it), or "local-rcut" (each row's top k scores, k the label
     count of its nearest reference); the scores are the same in every case."""
-    deltas, one_row = _deltas(tuned.model, x)
+    deltas = predict_deltas(tuned.model, x)
     scores = idw_ratio(log_distances(deltas), tuned.model.label_weights, tuned.power)
     if threshold == "local-rcut":
-        return _finish_rank_cut(scores, tuned.model, deltas, one_row)
+        return _finish_rank_cut(scores, tuned.model, deltas)
     if threshold in (None, "cardinality"):
         threshold = tuned.threshold
     elif isinstance(threshold, str):
         raise ValueError(f"threshold is cardinality, local-rcut or a float, not {threshold!r}")
-    return _finish(scores, scores > threshold, deltas, one_row)
+    return _finish(scores, scores > threshold, deltas)
 
 
 def lls_scores(model: DistanceModel, deltas) -> np.ndarray:
@@ -443,8 +435,8 @@ def lls_mlm_predict(model: DistanceModel, x) -> Prediction:
     The cut size is the cardinality of the nearest-reference prediction
     from the same distance model.
     """
-    deltas, one_row = _deltas(model, x)
-    return _finish_rank_cut(lls_scores(model, deltas), model, deltas, one_row)
+    deltas = predict_deltas(model, x)
+    return _finish_rank_cut(lls_scores(model, deltas), model, deltas)
 
 
 def _minimizer_candidates(A, B, C) -> tuple[np.ndarray, np.ndarray]:
@@ -527,11 +519,11 @@ def br_mlm_predict(model: BrMlmModel, x) -> Prediction:
     training rows carry that value of the label.
     """
     base = model.base
-    d, one_row = _distances(base, x)
+    d = _distances(base, x)
     # each label's predicted distances to its 0- and 1-valued training rows, Q x 2 x L
     delta_cols = _rowwise_product(d, model.label_coefficients)
     n1 = base.label_counts @ base.train_labels
     counts = np.stack([base.label_counts.sum() - n1, n1])
     targets = np.array([[0.0], [1.0]])
     scores = scalar_multilateration_scores(targets, delta_cols, counts)
-    return _finish_rank_cut(scores, base, _rowwise_product(d, base.coefficients), one_row)
+    return _finish_rank_cut(scores, base, _rowwise_product(d, base.coefficients))
