@@ -406,26 +406,28 @@ def lls_scores(model: DistanceModel, deltas) -> np.ndarray:
 
     deltas is one row of U predicted distances or a Q x U matrix. The
     anchor is the unique label vector with the smallest (clamped)
-    predicted distance; each other one contributes one linear equation in
-    y, weighted by the square root of its count, solved in least squares
-    (minimum-norm for rank-deficient systems) for all rows with that
-    anchor at once. This is the least-squares problem of one equation per
+    predicted distance. Each other one, t_k, gives one linear equation in
+    the step z = y - anchor, |z + anchor - t_k|^2 - |z|^2 = d_k^2 - d_b^2,
+    weighted by the square root of its count; the least-squares z of least
+    norm is solved for all rows with that anchor at once, so a label that no
+    equation fixes (one on which every label vector agrees) keeps the
+    anchor's value. This is the least-squares problem of one equation per
     training row: the anchor's own copies give all-zero equations.
     """
     D = clamp_deltas(deltas)
     rows = np.atleast_2d(D)
     T = model.train_labels
     root_c = np.sqrt(model.label_counts)
-    tnorm = (T**2).sum(axis=1)
     anchors = np.argmin(rows, axis=1)
     out = np.empty((rows.shape[0], T.shape[1]))
     for b in np.unique(anchors):
         these = anchors == b
         mask = np.arange(T.shape[0]) != b
-        A = 2.0 * (T[b][None, :] - T[mask]) * root_c[mask, None]
+        step = T[b] - T[mask]
+        A = 2.0 * step * root_c[mask, None]
         dk = rows[these][:, mask]
-        rhs = ((dk**2 - rows[these, b][:, None] ** 2) - (tnorm[mask] - tnorm[b])) * root_c[mask]
-        out[these] = np.linalg.lstsq(A, rhs.T, rcond=None)[0].T
+        rhs = (dk**2 - rows[these, b][:, None] ** 2 - (step**2).sum(axis=1)) * root_c[mask]
+        out[these] = T[b] + np.linalg.lstsq(A, rhs.T, rcond=None)[0].T
     return out if D.ndim == 2 else out[0]
 
 

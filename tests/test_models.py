@@ -411,7 +411,20 @@ class TestLlsMlm:
             label_counts=np.ones(4),
         )
         scores = models.lls_scores(model, np.array([0.5, 1.0, 1.5, 2.0]))
-        assert np.all(np.isfinite(scores))
+        # no equation fixes any label, so the scores are the anchor's
+        np.testing.assert_array_equal(scores, T[0])
+
+    @pytest.mark.parametrize("vectors", [[[1, 1, 1], [1, 0, 1]], [[1, 0, 1]]],
+                             ids=["two-vectors", "one-vector"])
+    def test_label_shared_by_every_vector_keeps_the_anchor_value(self, vectors):
+        # labels 0 and 2 are 1 in every training row, so the anchor-linearized
+        # system is rank-deficient there; the minimum-norm step from the
+        # anchor leaves them at 1, where a minimum-norm y would score them 0
+        X = np.random.default_rng(0).normal(size=(20, 3))
+        Y = np.array(vectors * (20 // len(vectors)), dtype=np.float64)
+        pred = models.lls_mlm_predict(models.train(X, Y, alpha_mode=0.1), X)
+        np.testing.assert_array_equal(pred.scores[:, [0, 2]], 1.0)
+        np.testing.assert_array_equal(pred.labels, Y)
 
 
 class TestBrMlm:
