@@ -134,9 +134,10 @@ def base_model(model) -> DistanceModel:
 
 @dataclass(frozen=True)
 class Prediction:
-    """Decoded output. For one query row: L scores and 0/1 labels, a float
-    min_distance and a str uncertainty bucket; for a Q-row query matrix:
-    Q x L scores and labels and length-Q arrays of the other two."""
+    """Decoded output, shaped as the query: for one row of M values, L scores
+    and 0/1 labels, an np.float64 min_distance and a str uncertainty bucket;
+    for a Q x M matrix, Q x L scores and labels and length-Q arrays of the
+    other two. Any other query rank is refused."""
 
     scores: np.ndarray
     labels: np.ndarray
@@ -255,10 +256,11 @@ def train_br(X, Y, alpha_mode="auto", label_names=()) -> BrMlmModel:
 
 def _distances(model: DistanceModel, x) -> np.ndarray:
     """Distances from the query x to the model's K references: K of them for
-    one row of M values, Q x K for a Q x M matrix. This is the one place that
-    looks at a query's rank; every later step works on the last axis, so a row
-    alone and a row in a batch take the same code. Only x is checked here:
-    the references were checked when the model was built."""
+    one row of M values, Q x K for a Q x M matrix; any other rank is refused.
+    This is the one place that looks at a query's rank; every later step works
+    on the last axis, so a row alone and a row in a batch take the same code.
+    Only x is checked here: the references were checked when the model was
+    built."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2):
         raise ValueError(f"query must be one row or a matrix, got shape {x.shape}")
@@ -274,7 +276,8 @@ def _distances(model: DistanceModel, x) -> np.ndarray:
 
 def predict_deltas(model: DistanceModel, x) -> np.ndarray:
     """Raw (unclamped) predicted distances to the U unique label vectors: U
-    for one query of M values, Q x U for a Q x M matrix of queries."""
+    for one query of M values, Q x U for a Q x M matrix of queries; any other
+    rank is refused. Every decoder starts here (br-mlm from _distances)."""
     return _rowwise_product(_distances(model, x), model.coefficients)
 
 

@@ -165,8 +165,9 @@ class TestQueryContract:
         tuned, br, _ = fitted
         with pytest.raises(ValueError, match="query has 5 features, model expects 3"):
             self.CALLS[call](tuned, br, np.zeros(5))
-        with pytest.raises(ValueError, match="one row or a matrix"):
-            self.CALLS[call](tuned, br, np.zeros((2, 2, 3)))
+        for bad in (np.zeros((2, 2, 3)), 0.3):
+            with pytest.raises(ValueError, match="one row or a matrix"):
+                self.CALLS[call](tuned, br, bad)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_reference_refused(self, fitted, bad):
@@ -640,10 +641,21 @@ def test_large_power_limit_matches_nearest_reference():
         np.testing.assert_array_equal(rcut.labels, nn.labels)
 
 
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
 @pytest.mark.parametrize("decoder", ["ml", "ml-rcut", "nn", "lls", "br"])
 def test_matrix_query_matches_one_row_queries(decoder):
     rng = np.random.default_rng(27)
     X, Y = random_problem(rng, n=25, m=4, l=4)
+    Q = rng.normal(size=(6, 4))
+    # float features, then integer ones, which take the exact distance kernel
+    for X, Q in ((X, Q), (np.round(2.0 * X), np.round(2.0 * Q))):
+        _check_one_row_queries(decoder, X, Y, Q)
+
+
+def _check_one_row_queries(decoder, X, Y, Q):
     tuned = tune_ml_mlm(X, Y, alpha_mode=0.1)
     call, model = {
         "ml": (models.ml_mlm_predict, tuned),
@@ -652,26 +664,35 @@ def test_matrix_query_matches_one_row_queries(decoder):
         "lls": (models.lls_mlm_predict, tuned.model),
         "br": (models.br_mlm_predict, models.train_br(X, Y, alpha_mode=0.1)),
     }[decoder]
-    Q = rng.normal(size=(6, 4))
     batch = call(model, Q)
     rows = [call(model, q) for q in Q]
     base = models.base_model(model)
     deltas = models.predict_deltas(base, Q)
     for q, batch_deltas in zip(Q, deltas):
-        np.testing.assert_array_equal(models.predict_deltas(base, q).view(np.int64),
-                                      batch_deltas.view(np.int64))
+        np.testing.assert_array_equal(_bits(models.predict_deltas(base, q)), _bits(batch_deltas))
     assert batch.scores.shape == (6, 4) and batch.labels.shape == (6, 4)
     scores = np.array([r.scores for r in rows], dtype=np.float64)
     if decoder in ("nn", "br"):
-        np.testing.assert_array_equal(batch.scores.view(np.int64), scores.view(np.int64))
+        np.testing.assert_array_equal(_bits(batch.scores), _bits(scores))
     else:  # idw_ratio's @ weights and lls_scores' lstsq run on the whole batch
         np.testing.assert_allclose(batch.scores, scores, rtol=1e-12, atol=1e-12)
     np.testing.assert_array_equal(batch.labels, [r.labels for r in rows])
-    np.testing.assert_array_equal(batch.min_distance.view(np.int64),
-                                  np.array([r.min_distance for r in rows]).view(np.int64))
+    np.testing.assert_array_equal(_bits(batch.min_distance),
+                                  _bits([r.min_distance for r in rows]))
     assert list(batch.uncertainty) == [r.uncertainty for r in rows]
     assert all(isinstance(r.min_distance, float) and isinstance(r.uncertainty, str)
                for r in rows)
+    # a lone row and a 1-row matrix take the same code, numpy's vector-matrix
+    # loop included, so every field has the same bits
+    for q, alone in zip(Q, rows):
+        matrix = call(model, q[None])
+        np.testing.assert_array_equal(_bits(alone.scores), _bits(matrix.scores[0]))
+        np.testing.assert_array_equal(alone.labels, matrix.labels[0])
+        assert _bits(alone.min_distance) == _bits(matrix.min_distance[0])
+        assert alone.uncertainty == matrix.uncertainty[0]
+    empty = call(model, Q[:0])
+    assert empty.scores.shape == empty.labels.shape == (0, 4)
+    assert empty.min_distance.shape == empty.uncertainty.shape == (0,)
 
 
 class TestUniqueLabelVectors:
