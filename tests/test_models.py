@@ -418,9 +418,8 @@ class TestLlsMlm:
     @pytest.mark.parametrize("vectors", [[[1, 1, 1], [1, 0, 1]], [[1, 0, 1]]],
                              ids=["two-vectors", "one-vector"])
     def test_label_shared_by_every_vector_keeps_the_anchor_value(self, vectors):
-        # labels 0 and 2 are 1 in every training row, so the anchor-linearized
-        # system is rank-deficient there; the minimum-norm step from the
-        # anchor leaves them at 1, where a minimum-norm y would score them 0
+        # labels 0 and 2 are 1 in every training row: no equation of the
+        # anchor-linearized system fixes them, so they keep the anchor's 1
         X = np.random.default_rng(0).normal(size=(20, 3))
         Y = np.array(vectors * (20 // len(vectors)), dtype=np.float64)
         pred = models.lls_mlm_predict(models.train(X, Y, alpha_mode=0.1), X)
