@@ -14,15 +14,17 @@ name ends in .csv and as ARFF otherwise:
 
 train, evaluate and benchmark read the whole spec. predict reads the
 features file of a CSV pair, or every column of a single file that is not
-one of the model's labels (an @labels.xml suffix is ignored), and applies the
-min-max scaler that train --scale stored in the model. A header-only input
-predicts to an empty output. predict alone writes the per-row outputs and
-sets a fixed threshold; train stores the LOO cardinality threshold.
+one of the model's labels (an @labels.xml suffix is ignored), raw: a model
+trained with --scale minmax holds its scaler and scales every query. A
+header-only input predicts to an empty output. predict alone writes the
+per-row outputs and sets a fixed threshold; train stores the LOO cardinality
+threshold.
 
 modelio.method_functions maps a method name to its trainer and decoder; this
 module keeps only the rules for the ml-mlm-only flags (--power, --threshold,
 and --curve-out, which also needs a tuned power) and predict's row chunking.
-benchmark --methods names each method once, and --dataset each dataset name once.
+benchmark --methods names each method once, and --dataset each dataset name once,
+with a test split of as many features and labels as its training split.
 """
 from __future__ import annotations
 
@@ -30,7 +32,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -54,32 +55,26 @@ class UsageError(Exception):
     pass
 
 
-def apply_scale(X, scale):
-    """X under a min-max scaler from data.min_max_bounds; None leaves X as it is."""
-    return X if scale is None else (X - np.asarray(scale["min"])) / np.asarray(scale["span"])
-
-
 def load_features(spec, manifest):
-    """The feature columns of a predict input, under the model's scaler: the
-    features file of a CSV pair, whole, or the columns of a single file that
-    are not the model's labels."""
+    """The feature columns of a predict input, unscaled: the features file of a
+    CSV pair, whole, or the columns of a single file that are not the model's
+    labels."""
     if ";" in spec:
-        _, X = dataio.read_csv_matrix(spec.split(";", 1)[0])
-    else:
-        names, values = dataio.read_table(spec.rsplit("@", 1)[0])
-        labels = set(manifest["label_names"])
-        X = values[:, [i for i, name in enumerate(names) if name not in labels]]
-    return apply_scale(X, manifest["scale"])
+        return dataio.read_csv_matrix(spec.split(";", 1)[0])[1]
+    names, values = dataio.read_table(spec.rsplit("@", 1)[0])
+    labels = set(manifest["label_names"])
+    return values[:, [i for i, name in enumerate(names) if name not in labels]]
 
 
-def fit_method(method, ds, alpha="auto", power=None):
+def fit_method(method, ds, alpha="auto", power=None, scale=False):
     """Train one model of the requested kind on a Dataset; alpha is "auto" or
-    a float, power None (the ml-mlm default), "tuned" or a float."""
+    a float, power None (the ml-mlm default), "tuned" or a float; scale as in models.fit."""
     if method != "ml-mlm" and power is not None:
         raise UsageError(f"--power applies to ml-mlm only, not to {method}")
     train = method_functions(method)[0]
     extra = {} if power is None else {"power_mode": power}
-    return train(ds.features, ds.labels, alpha_mode=alpha, label_names=ds.label_names, **extra)
+    return train(ds.features, ds.labels, alpha_mode=alpha, label_names=ds.label_names,
+                 scale=scale, **extra)
 
 
 # Rows per predict_dataset chunk: this budget over the bytes of one row's K input
@@ -153,12 +148,9 @@ def cmd_train(args) -> int:
         raise UsageError(f"--curve-out needs ml-mlm with a tuned power; "
                          f"{args.method}{fixed} searches no power")
     ds = dataio.load_dataset(args.data, args.labels_last)
-    scale = dataio.min_max_bounds(ds.features) if args.scale == "minmax" else None
-    model = fit_method(
-        args.method, replace(ds, features=apply_scale(ds.features, scale)),
-        alpha=args.alpha, power=args.power,
-    )
-    save_model(args.out, model, args.method, scale)
+    model = fit_method(args.method, ds, alpha=args.alpha, power=args.power,
+                       scale=args.scale == "minmax")
+    save_model(args.out, model, args.method)
     if args.curve_out:
         tuning.lrl_curve_csv(model.lrl_curve, args.curve_out)
     return EXIT_OK
@@ -212,14 +204,17 @@ def cmd_benchmark(args) -> int:
     for name, train_spec, test_spec in datasets:
         train_ds = dataio.load_dataset(train_spec, args.labels_last)
         test_ds = dataio.load_dataset(test_spec, args.labels_last)
-        # test rows are scaled by the training bounds, as train and predict do
-        scale = dataio.min_max_bounds(train_ds.features) if args.scale == "minmax" else None
-        train_ds = replace(train_ds, features=apply_scale(train_ds.features, scale))
-        test_X = apply_scale(test_ds.features, scale)
+        shapes = [(ds.features.shape[1], ds.labels.shape[1]) for ds in (train_ds, test_ds)]
+        if shapes[0] != shapes[1]:
+            raise dataio.DataFormatError(
+                "dataset {}: test split {} has {} features and {} labels, but training "
+                "split {} has {} and {}".format(name, test_spec, *shapes[1], train_spec,
+                                                *shapes[0]))
         per_method = {}
         for method in methods:
-            model = fit_method(method, train_ds)
-            preds = predict_dataset(method, model, test_X)
+            # the model scales the raw test rows by its training bounds, as in predict
+            model = fit_method(method, train_ds, scale=args.scale == "minmax")
+            preds = predict_dataset(method, model, test_ds.features)
             report = metricsmod.evaluate(
                 preds.labels.astype(np.float64), preds.scores, test_ds.labels
             )

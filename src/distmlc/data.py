@@ -1,4 +1,4 @@
-"""Dataset ingestion and min-max scaling bounds.
+"""Dataset ingestion.
 
 read_table reads one file, as CSV (a header row) when its name ends in .csv
 and as Mulan-style ARFF (dense or sparse) otherwise. load_dataset builds a
@@ -284,11 +284,3 @@ def load_dataset(spec: str, labels_last: int | None = None) -> Dataset:
         feature_names=tuple(names[i] for i in feat_idx),
         label_names=tuple(names[i] for i in label_idx),
     )
-
-
-def min_max_bounds(X: np.ndarray) -> dict:
-    """Each feature column's minimum and span, as JSON-ready lists: X maps to
-    [0, 1] as (X - min) / span. A constant column gets span 1, so it maps to 0."""
-    lo = X.min(axis=0)
-    span = X.max(axis=0) - lo
-    return {"min": lo.tolist(), "span": np.where(span > 0, span, 1.0).tolist()}

@@ -9,18 +9,17 @@ deterministic (fixed timestamps, fixed member order), so retraining on
 identical inputs yields byte-identical files, and load(save(m)) gives
 bit-identical predictions. Loaded arrays are read-only views of the
 bytes read from the file. This module checks only the format version, the
-method name, the blob shapes ("dimensions", a JSON object) and sizes and the
-scaler; the record checks the rest of the model when load_model builds it,
-as when training does.
+method name and the blob shapes ("dimensions", a JSON object) and sizes; the
+record checks the rest of the model, its scaler included, when load_model
+builds it, as when training does.
 
 Format 4 keeps the U unique training label vectors (train_labels) and
 their counts (label_counts); coefficients are K x U and br-mlm's
-label_coefficients 2 x K x L. The manifest's "scale" holds the training
+label_coefficients 2 x K x L. The manifest's "scale" holds the record's
 scaler, each feature's minimum and span ({"min": [...], "span": [...]}),
-or null when the features were not scaled; predict applies it to every
-input. Files of an earlier format (1 held all N label vectors, 2 an
-L x K x U br-mlm stack, 3 no scaler) are refused with a request to
-retrain.
+or null when the features were not scaled. Files of an earlier format (1
+held all N label vectors, 2 an L x K x U br-mlm stack, 3 no scaler) are
+refused with a request to retrain.
 """
 from __future__ import annotations
 
@@ -44,10 +43,9 @@ class ModelFileError(ValueError):
     """Unreadable or incompatible model file."""
 
 
-def save_model(path, model, method: str, scale: dict | None = None) -> None:
-    """Serialize a trained model under its method name, with the min-max
-    scaler of its training features (data.min_max_bounds), if any. A model that
-    is not the record of its method (RECORDS) is refused before a byte is written."""
+def save_model(path, model, method: str) -> None:
+    """Serialize a trained model under its method name. A model that is not the
+    record of its method (RECORDS) is refused before a byte is written."""
     if type(model) is not RECORDS.get(method):
         raise ValueError(f"cannot save a {type(model).__name__} as a {method!r} model")
     base = base_model(model)
@@ -64,7 +62,8 @@ def save_model(path, model, method: str, scale: dict | None = None) -> None:
         "alpha": base.alpha,
         "dimensions": {name: list(a.shape) for name, a in arrays.items()},
         "label_names": list(base.label_names),
-        "scale": scale,
+        "scale": None if base.scale is None else {"min": base.scale[0].tolist(),
+                                                  "span": base.scale[1].tolist()},
     }
     with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
         zf.writestr(zipfile.ZipInfo("manifest.json", date_time=_EPOCH),
@@ -75,24 +74,16 @@ def save_model(path, model, method: str, scale: dict | None = None) -> None:
 
 
 def method_functions(method: str):
-    """(train, predict) of a method: train(X, Y, alpha_mode=, label_names=[, power_mode=])
-    and predict(model, x[, threshold=]), the brackets for ml-mlm only. Built on each
-    call, so that a function rebound in its module after import is the one returned."""
+    """(train, predict) of a method: train(X, Y, alpha_mode=, label_names=, scale=
+    [, power_mode=]) and predict(model, x[, threshold=]), the brackets for ml-mlm only.
+    Built on each call, so that a function rebound in its module after import is the
+    one returned."""
     return {
         "ml-mlm": (tuning.tune_ml_mlm, models.ml_mlm_predict),
         "nn-mlm": (models.train, models.nn_mlm_predict),
         "lls-mlm": (models.train, models.lls_mlm_predict),
         "br-mlm": (models.train_br, models.br_mlm_predict),
     }[method]
-
-
-def _check_scale(scale, M: int) -> None:
-    """Raise ValueError unless scale is None or a scaler of M features."""
-    if scale is not None:
-        lo, span = (np.asarray(scale[k], dtype=np.float64) for k in ("min", "span"))
-        if not (lo.shape == span.shape == (M,) and np.all(np.isfinite(lo))
-                and np.all(np.isfinite(span) & (span > 0))):
-            raise ValueError(f"scale must hold {M} finite minima and {M} finite spans > 0")
 
 
 def load_model(path):
@@ -120,6 +111,7 @@ def load_model(path):
             arrays = {name: np.frombuffer(zf.read(name + ".f64"), dtype="<f8").reshape(shape)
                       for name, shape in dimensions.items()}
         names = manifest["label_names"]  # a JSON list; the record holds a tuple
+        scale = manifest["scale"]
         base = DistanceModel(
             references=arrays["references"],
             coefficients=arrays["coefficients"],
@@ -127,8 +119,9 @@ def load_model(path):
             train_labels=arrays["train_labels"],
             label_names=tuple(names) if isinstance(names, list) else names,
             label_counts=arrays["label_counts"],
+            scale=None if scale is None else np.array([scale["min"], scale["span"]],
+                                                      dtype=np.float64),
         )
-        _check_scale(manifest["scale"], base.n_features)
         if method == "ml-mlm":
             model = TunedMlMlm(model=base, power=manifest["P"], threshold=manifest["t"],
                                lrl_curve=())

@@ -42,6 +42,8 @@ class DistanceModel:
         vectors, in first-seen order.
     label_counts: length-U float array, how many training rows carry each
         of them (they sum to N).
+    scale: None, or the 2 x M min-max scaler (minima, spans > 0) that scaled
+        the training features, and that scales every query before its distances.
     Building one, by training, by modelio.load_model or by hand, checks all of
     this, alpha (finite, >= 0) and label_names (empty or L strings).
     """
@@ -52,6 +54,7 @@ class DistanceModel:
     train_labels: np.ndarray
     label_counts: np.ndarray
     label_names: tuple[str, ...] = ()
+    scale: np.ndarray | None = None
 
     def __post_init__(self):
         if np.ndim(self.references) != 2 or np.ndim(self.train_labels) != 2:
@@ -59,8 +62,12 @@ class DistanceModel:
         if not np.all(np.isfinite(self.references)):
             raise ValueError("references contain non-finite values")
         _check_binary(self.train_labels, "train_labels")
-        (K, _), (U, L) = np.shape(self.references), np.shape(self.train_labels)
+        (K, M), (U, L) = np.shape(self.references), np.shape(self.train_labels)
         _check_array(self.coefficients, "coefficients", (K, U), "K x U")
+        if self.scale is not None:
+            _check_array(self.scale, "scale", (2, M), "minima and spans of M features")
+            if not np.all(self.scale[1] > 0.0):
+                raise ValueError("scale spans must be > 0")
         c = np.asarray(self.label_counts)
         if c.shape != (U,) or not np.all(np.isfinite(c) & (c >= 1.0) & (c == np.round(c))):
             raise ValueError(f"label_counts must be {U} positive whole numbers")
@@ -160,7 +167,8 @@ def _check_array(a, name: str, shape: tuple, dims: str) -> None:
 
 
 def _check_number(value, name: str, expected: str = "a finite number", ok=lambda v: True) -> None:
-    if not (isinstance(value, numbers.Real) and np.isfinite(value) and ok(value)):
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Real) and np.isfinite(value) and ok(value)):
         raise ValueError(f"{name} must be {expected}, got {value!r}")
 
 
@@ -193,20 +201,26 @@ def first_seen(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return idx[order], counts[order]
 
 
-def fit(X, Y, alpha_mode="auto", label_names=()):
+def fit(X, Y, alpha_mode="auto", label_names=(), scale=False):
     """Fit the distance-regression map on inputs X (N x M), labels Y (N x L).
 
     alpha_mode is "auto" (pairwise-distance quantile heuristic) or a
-    fixed non-negative float. The output distances are taken to the U
-    unique label vectors only: Dy is N x U. Returns (model, Dx, Dy, gram)
-    so that the leave-one-out tuning and br-mlm reuse the one
-    factorization: gram is fit_ridge's (None after its SVD fallback), and
-    model.coefficients its K x U solution.
+    fixed non-negative float. With scale, X first maps to [0, 1] as
+    (X - min) / span (span 1 for a constant column), and the model keeps that
+    scaler. The output distances are taken to the U unique label vectors
+    only: Dy is N x U. Returns (model, Dx, Dy, gram) so that the leave-one-out
+    tuning and br-mlm reuse the one factorization: gram is fit_ridge's (None
+    after its SVD fallback), and model.coefficients its K x U solution.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = _check_binary(Y)
     if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
         raise ValueError("X and Y must be 2-d with matching row counts")
+    bounds = None
+    if scale:
+        lo, hi = X.min(axis=0), X.max(axis=0)
+        bounds = np.stack([lo, np.where(hi > lo, hi - lo, 1.0)])
+        X = (X - bounds[0]) / bounds[1]
     ref_idx, _ = first_seen(X)
     references = X[ref_idx]
     if references.shape[0] < 2:
@@ -229,16 +243,17 @@ def fit(X, Y, alpha_mode="auto", label_names=()):
         train_labels=labels,
         label_names=tuple(label_names),
         label_counts=counts.astype(np.float64),
+        scale=bounds,
     )
     return model, Dx, Dy, gram
 
 
-def train(X, Y, alpha_mode="auto", label_names=()) -> DistanceModel:
-    """The model of fit(X, Y, alpha_mode, label_names)."""
-    return fit(X, Y, alpha_mode=alpha_mode, label_names=label_names)[0]
+def train(X, Y, alpha_mode="auto", label_names=(), scale=False) -> DistanceModel:
+    """The model of fit(X, Y, alpha_mode, label_names, scale)."""
+    return fit(X, Y, alpha_mode=alpha_mode, label_names=label_names, scale=scale)[0]
 
 
-def train_br(X, Y, alpha_mode="auto", label_names=()) -> BrMlmModel:
+def train_br(X, Y, alpha_mode="auto", label_names=(), scale=False) -> BrMlmModel:
     """Fit the binary-relevance variant: one scalar output-distance map per label.
 
     The Gram factorization of the input distances is shared across labels.
@@ -246,7 +261,7 @@ def train_br(X, Y, alpha_mode="auto", label_names=()) -> BrMlmModel:
     t is |Y[n, l] - t|: Y[:, l] for t = 0 and 1 - Y[:, l] for t = 1, so
     one product gives every label's two maps.
     """
-    base, Dx, _, gram = fit(X, Y, alpha_mode=alpha_mode, label_names=label_names)
+    base, Dx, _, gram = fit(X, Y, alpha_mode=alpha_mode, label_names=label_names, scale=scale)
     if gram is None:
         raise SingularSystemError("U = Dx^T Dx + alpha*I is not positive definite")
     Y = np.asarray(Y, dtype=np.float64)  # fit checked it
@@ -255,12 +270,12 @@ def train_br(X, Y, alpha_mode="auto", label_names=()) -> BrMlmModel:
 
 
 def _distances(model: DistanceModel, x) -> np.ndarray:
-    """Distances from the query x to the model's K references: K of them for
-    one row of M values, Q x K for a Q x M matrix; any other rank is refused.
-    This is the one place that looks at a query's rank; every later step works
-    on the last axis, so a row alone and a row in a batch take the same code.
-    Only x is checked here: the references were checked when the model was
-    built."""
+    """Distances from the query x, under the model's scaler, to its K references:
+    K of them for one row of M values, Q x K for a Q x M matrix; any other rank
+    is refused. This is the one place that looks at a query's rank or scales it;
+    every later step works on the last axis, so a row alone and a row in a batch
+    take the same code. Only the scaled x is checked here: the references were
+    checked when the model was built."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2):
         raise ValueError(f"query must be one row or a matrix, got shape {x.shape}")
@@ -268,6 +283,9 @@ def _distances(model: DistanceModel, x) -> np.ndarray:
         raise ValueError(
             f"query has {x.shape[-1]} features, model expects {model.n_features}"
         )
+    if model.scale is not None:
+        with np.errstate(over="ignore"):  # the finite check refuses what overflows
+            x = (x - model.scale[0]) / model.scale[1]
     if not np.all(np.isfinite(x)):
         raise ValueError("query contains non-finite entries")
     d = euclidean(np.atleast_2d(x), model.references, model.reference_norms)

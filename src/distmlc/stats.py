@@ -48,7 +48,7 @@ class ResultTable:
     def from_csv(cls, path, direction: str) -> "ResultTable":
         """Read a table whose header names each method once and whose every
         other row is a dataset name, each dataset once, and one number per
-        method."""
+        method; a table that breaks this raises DataFormatError naming the file."""
         with open(path, "r", newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -76,12 +76,11 @@ class ResultTable:
                     raise DataFormatError(f"{where}: {exc}") from None
         if not rows:
             raise DataFormatError(f"{path}: no data row after the header")
-        return cls(
-            methods=methods,
-            datasets=tuple(datasets),
-            values=np.array(rows),
-            direction=direction,
-        )
+        try:
+            return cls(methods=methods, datasets=tuple(datasets), values=np.array(rows),
+                       direction=direction)
+        except ValueError as exc:  # too few methods or datasets, a non-finite cell
+            raise DataFormatError(f"{path}: {exc}") from None
 
 
 def average_ranks(table: ResultTable) -> np.ndarray:

@@ -81,7 +81,8 @@ def cardinality_threshold(loo_scores, Y) -> float:
     return float(candidates[np.nonzero(gap == best)[0].max()])
 
 
-def tune_ml_mlm(X, Y, alpha_mode="auto", power_mode="tuned", label_names=()) -> _models.TunedMlMlm:
+def tune_ml_mlm(X, Y, alpha_mode="auto", power_mode="tuned", label_names=(),
+                scale=False) -> _models.TunedMlMlm:
     """Train the distance model and pick power and threshold in one LOO pass.
 
     power_mode is "tuned" or a fixed positive float; the threshold is the
@@ -97,7 +98,8 @@ def tune_ml_mlm(X, Y, alpha_mode="auto", power_mode="tuned", label_names=()) -> 
             "cannot tune the power: no training row has both a relevant and an "
             f"irrelevant label (L = {Y.shape[-1]}), so the leave-one-out ranking "
             "loss has nothing to rank; give a fixed power (--power) instead")
-    model, Dx, Dy, gram = _models.fit(X, Y, alpha_mode=alpha_mode, label_names=label_names)
+    model, Dx, Dy, gram = _models.fit(X, Y, alpha_mode=alpha_mode, label_names=label_names,
+                                      scale=scale)
     if gram is None:
         raise SingularSystemError("U = Dx^T Dx + alpha*I is not positive definite")
     loo = loo_deltas(gram, Dx, Dy, model.coefficients)

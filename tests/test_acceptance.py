@@ -7,7 +7,6 @@ skip with download instructions when absent.
 """
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -70,14 +69,12 @@ _TUNED_CACHE = {}
 
 
 def tuned_on(name, scale=False):
+    """The tuned model of a split's raw training rows, and the raw splits; with
+    scale, the model min-max scales every row by the training bounds."""
     key = (name, scale)
     if key not in _TUNED_CACHE:
         train, test = load_split(name)
-        if scale:  # test rows are scaled by the training bounds
-            b = dataio.min_max_bounds(train.features)
-            train, test = (replace(ds, features=(ds.features - b["min"]) / b["span"])
-                           for ds in (train, test))
-        _TUNED_CACHE[key] = (tuning.tune_ml_mlm(train.features, train.labels),
+        _TUNED_CACHE[key] = (tuning.tune_ml_mlm(train.features, train.labels, scale=scale),
                              train, test)
     return _TUNED_CACHE[key]
 
@@ -220,7 +217,7 @@ class TestCriterion4:
         expected = NNMLM_EXPECTED[name]
         for scale in (False, True):
             _, train, test = tuned_on(name, scale)
-            model = models.train(train.features, train.labels)
+            model = models.train(train.features, train.labels, scale=scale)
             labels = np.vstack([
                 models.nn_mlm_predict(model, x).labels for x in test.features
             ])

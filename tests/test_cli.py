@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from distmlc import cli
+from distmlc import cli, modelio
 
 from conftest import random_problem, rewrite, rewrite_manifest
 
@@ -250,6 +250,22 @@ class TestModelDecidesInput:
             np.testing.assert_allclose(alone["scores"], full[i]["scores"], rtol=0, atol=1e-12)
             assert alone["labels"] == full[i]["labels"]
 
+    @pytest.mark.parametrize("method", cli.METHODS)
+    def test_loaded_scaled_model_decodes_raw_rows_as_predict(self, tmp_path, method):
+        # the scaler is part of the record, so the library needs no scaling step
+        rng = np.random.default_rng(96)
+        Xtr, Ytr = random_problem(rng, n=30, m=3, l=3)
+        Xte, Yte = random_problem(rng, n=6, m=3, l=3)
+        Xtr, Xte = 5.0 * Xtr + 2.0, 5.0 * Xte + 2.0  # off [0, 1]
+        model_path, out, lib = (tmp_path / name for name in ("m.dmlm", "p.jsonl", "lib.jsonl"))
+        assert cli.main(["train", write_csv_pair(tmp_path, Xtr, Ytr, "train"), "--method",
+                         method, "--scale", "minmax", "--out", str(model_path)]) == 0
+        assert cli.main(["predict", str(model_path), write_csv_pair(tmp_path, Xte, Yte, "test"),
+                         "--out", str(out)]) == 0
+        model, _ = modelio.load_model(model_path)
+        cli.write_predictions(modelio.method_functions(method)[1](model, Xte), lib)
+        assert lib.read_bytes() == out.read_bytes()
+
     def test_benchmark_scale_matches_train_predict_evaluate(self, tmp_path, toy_specs):
         train, test = toy_specs
         assert cli.main(["benchmark", "--dataset", f"toy,{train},{test}",
@@ -369,6 +385,22 @@ class TestBenchmark:
         header = csv1.decode().splitlines()[0]
         assert header.startswith("dataset,method,hamming_loss")
 
+    @pytest.mark.parametrize("short", ["features", "labels"])
+    def test_test_split_of_other_width_is_data_error(self, tmp_path, capsys, short):
+        rng = np.random.default_rng(95)
+        Xtr, Ytr = random_problem(rng, n=18, m=3, l=3)
+        Xte, Yte = random_problem(rng, n=7, m=3, l=3)
+        Xte, Yte = (Xte[:, :2], Yte) if short == "features" else (Xte, Yte[:, :2])
+        train = write_csv_pair(tmp_path, Xtr, Ytr, "train")
+        test = write_csv_pair(tmp_path, Xte, Yte, "test")
+        out_dir = tmp_path / "run"
+        assert cli.main(["benchmark", "--dataset", f"toy,{train},{test}",
+                         "--methods", "ml-mlm,br-mlm", "--out-dir", str(out_dir)]) == 2
+        counts = "2 features and 3 labels" if short == "features" else "3 features and 2 labels"
+        assert (f"dataset toy: test split {test} has {counts}, but training split {train} "
+                f"has 3 and 3") in capsys.readouterr().err
+        assert not list(out_dir.iterdir())  # refused before any training
+
     @pytest.mark.parametrize("methods", ["ml-mlm,ml-mlm", "nn-mlm,ml-mlm,nn-mlm"])
     def test_repeated_method_is_usage_error(self, tmp_path, toy_specs, capsys, methods):
         train, test = toy_specs
@@ -435,8 +467,11 @@ class TestStatsCommand:
         ("dataset,a,b\n", "{table}: no data row after the header"),
         ("dataset,a,b\nd1,0.1,0.2\nd2,0.2,0.3\nd1,0.3,0.1\n",
          "{table} line 4: dataset 'd1' appears twice"),
+        ("dataset,a,b\nd1,0.1,nan\nd2,0.2,0.3\n", "{table}: missing or non-finite cells"),
+        ("dataset,a\nd1,0.1\nd2,0.2\n", "{table}: need at least 2 methods and 2 datasets"),
+        ("dataset,a,b\nd1,0.1,0.2\n", "{table}: need at least 2 methods and 2 datasets"),
     ], ids=["non-numeric", "short-row", "long-row", "repeated-method", "empty", "header-only",
-            "repeated-dataset"])
+            "repeated-dataset", "nan-cell", "one-method", "one-dataset"])
     def test_malformed_table_is_data_error(self, tmp_path, capsys, text, message):
         table, out = tmp_path / "t.csv", tmp_path / "cd.json"
         table.write_text(text)

@@ -365,14 +365,3 @@ class TestSparsePass:
         else:
             assert isinstance(got, np.ndarray) and got.shape == ref.shape
             np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
-
-
-class TestScaling:
-    def test_min_max(self):
-        X = np.array([[0.0, 5.0], [10.0, 5.0]])
-        bounds = dataio.min_max_bounds(X)
-        # a constant column gets span 1
-        assert bounds == {"min": [0.0, 5.0], "span": [10.0, 1.0]}
-        scaled = (X - bounds["min"]) / bounds["span"]
-        np.testing.assert_array_equal(scaled[:, 0], [0.0, 1.0])
-        np.testing.assert_array_equal(scaled[:, 1], [0.0, 0.0])

@@ -248,8 +248,9 @@ class TestValidation:
                 arrays["label_coefficients"] = np.zeros((L, K, U))
         self.assert_refused(saved, edit, "retrain")
 
-    @pytest.mark.parametrize("value", [None, "x", float("nan"), float("inf")],
-                             ids=["null", "string", "NaN", "Infinity"])
+    # a JSON true or false is a bool, which Python counts as the int 1 or 0
+    @pytest.mark.parametrize("value", [None, "x", float("nan"), float("inf"), True, False],
+                             ids=["null", "string", "NaN", "Infinity", "true", "false"])
     @pytest.mark.parametrize("field, match", [("P", "power P"), ("t", "threshold t"),
                                               ("alpha", "alpha")])
     def test_manifest_number_not_finite(self, saved_ml, field, match, value):

@@ -178,6 +178,40 @@ class TestQueryContract:
             replace(model, references=references)
 
 
+class TestScaling:
+    """fit(..., scale=True) keeps a min-max scaler in the record, which scales
+    every query before its distances are taken."""
+
+    def test_min_max(self):
+        X = np.array([[0.0, 5.0], [10.0, 5.0]])
+        model = models.train(X, np.array([[1.0], [0.0]]), alpha_mode=0.1, scale=True)
+        # a constant column gets span 1, so it maps to 0
+        np.testing.assert_array_equal(model.scale, [[0.0, 5.0], [10.0, 1.0]])
+        np.testing.assert_array_equal(model.references, [[0.0, 0.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(models.predict_deltas(model, X),
+                                      models.predict_deltas(replace(model, scale=None),
+                                                            model.references))
+
+    @pytest.mark.parametrize("method", modelio.METHODS)
+    def test_scaled_model_is_the_model_of_scaled_rows(self, method):
+        rng = np.random.default_rng(27)
+        X, Y = random_problem(rng, n=20, m=3, l=3)
+        X = 7.0 * X - 3.0
+        train, decode = modelio.method_functions(method)
+        scaled = train(X, Y, alpha_mode=0.1, scale=True)
+        lo, span = models.base_model(scaled).scale
+        plain = train((X - lo) / span, Y, alpha_mode=0.1)
+        a, b = decode(scaled, X[:6]), decode(plain, (X[:6] - lo) / span)
+        for field in ("scores", "labels", "min_distance", "uncertainty"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+    def test_query_that_overflows_when_scaled_is_refused(self):
+        X, Y = random_problem(np.random.default_rng(28), n=10, m=2, l=2)
+        model = models.train(X * 1e-3, Y, alpha_mode=0.1, scale=True)
+        with pytest.raises(ValueError, match="non-finite"):
+            models.nn_mlm_predict(model, np.array([1e308, 0.0]))
+
+
 def _with(array, index, value):
     out = np.array(array, dtype=np.float64)
     out[index] = value
@@ -214,6 +248,13 @@ class TestRecordsCheckThemselves:
         ("label_names", lambda m: ("a",)),
         ("label_names", lambda m: ("a", "b", 3)),
         ("label_names", lambda m: ["a", "b", "c"]),
+        ("alpha", lambda m: True),
+        ("scale", lambda m: np.ones((2, 2))),
+        ("scale", lambda m: np.ones(3)),
+        ("scale", lambda m: _with(np.ones((2, 3)), (0, 1), np.nan)),
+        ("scale", lambda m: _with(np.ones((2, 3)), (1, 2), np.inf)),
+        ("scale", lambda m: _with(np.ones((2, 3)), (1, 0), 0.0)),
+        ("scale", lambda m: _with(np.ones((2, 3)), (1, 0), -1.0)),
     ])
     def test_distance_model(self, records, field, broken):
         model = records[0].model
@@ -235,6 +276,7 @@ class TestRecordsCheckThemselves:
     @pytest.mark.parametrize("field, value", [
         *(("power", v) for v in (0.0, -1.0, np.nan, np.inf, None, "x")),
         *(("threshold", v) for v in (np.nan, -np.inf, None, "x")),
+        ("power", True), ("threshold", False),
     ])
     def test_tuned_ml_mlm(self, records, field, value):
         with pytest.raises(ValueError, match=field):
