@@ -10,7 +10,8 @@ Dataset specs (data.load_dataset); a single file is read as CSV when its
 name ends in .csv and as ARFF otherwise:
   features.csv;labels.csv        CSV pair with header rows
   data.arff@labels.xml           one file with a Mulan XML label manifest
-  data.arff                      one file with --labels-last L
+  data.arff                      one file with --labels-last L; evaluate takes
+                                 L from the width of the predictions
 
 train, evaluate and benchmark read the whole spec. predict reads the
 features file of a CSV pair, or every column of a single file that is not
@@ -165,7 +166,7 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     scores, labels = read_predictions(args.predictions)
-    truth = dataio.load_dataset(args.truth, args.labels_last)
+    truth = dataio.load_dataset(args.truth, labels.shape[1])
     if labels.shape != truth.labels.shape:
         raise dataio.DataFormatError(
             "predictions {} are {} x {} but the truth labels of {} are {} x {}".format(
@@ -173,7 +174,6 @@ def cmd_evaluate(args) -> int:
     report = metricsmod.evaluate(labels, scores, truth.labels)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
-        fh.write("\n")
     return EXIT_OK
 
 
@@ -222,7 +222,6 @@ def cmd_benchmark(args) -> int:
             with open(out_dir / f"report_{name}_{method}.json", "w",
                       encoding="utf-8") as fh:
                 fh.write(report.to_json())
-                fh.write("\n")
         rows.append(per_method)
 
     metric_names = metricsmod.EvalReport.field_names()
@@ -285,13 +284,9 @@ def _positive_int(text):
     raise argparse.ArgumentTypeError(f"expected an int >= 1, got {text!r}")
 
 
-def _add_labels_last(p):
+def _add_data_flags(p):
     p.add_argument("--labels-last", type=_positive_int, default=None,
                    help="treat the last L columns of a single-file dataset as labels")
-
-
-def _add_data_flags(p):
-    _add_labels_last(p)
     p.add_argument("--scale", choices=("off", "minmax"), default="off",
                    help="min-max scale features by the training bounds")
 
@@ -332,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("predictions", help="JSON-lines predictions file")
     p.add_argument("truth", help="ground-truth dataset spec")
     p.add_argument("--out", required=True)
-    _add_labels_last(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("benchmark", help="train/predict/evaluate over datasets")

@@ -32,14 +32,16 @@ class EvalReport:
         return asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=False)
+        """The text of a report file: one JSON object and a newline."""
+        return json.dumps(self.to_dict(), sort_keys=False) + "\n"
 
     @classmethod
     def field_names(cls) -> list[str]:
         return [f.name for f in fields(cls)]
 
 
-def _binary(a, name="labels") -> np.ndarray:
+def as_binary(a, name="labels") -> np.ndarray:
+    """a as a float64 array; a ValueError unless every entry is 0 or 1."""
     a = np.asarray(a, dtype=np.float64)
     if not np.all((a == 0.0) | (a == 1.0)):
         raise ValueError(f"{name} must be binary")
@@ -47,8 +49,8 @@ def _binary(a, name="labels") -> np.ndarray:
 
 
 def _pair(pred, truth):
-    pred = _binary(pred, "pred")
-    truth = _binary(truth, "truth")
+    pred = as_binary(pred, "pred")
+    truth = as_binary(truth, "truth")
     if pred.shape != truth.shape:
         raise ValueError("pred and truth shapes differ")
     return pred, truth
@@ -56,13 +58,13 @@ def _pair(pred, truth):
 
 def card(Y) -> float:
     """Mean number of relevant labels per instance."""
-    Y = _binary(Y)
+    Y = as_binary(Y)
     return float(Y.sum(axis=1).mean())
 
 
 def dens(Y) -> float:
     """Label cardinality normalized by the number of labels."""
-    Y = _binary(Y)
+    Y = as_binary(Y)
     return card(Y) / Y.shape[1]
 
 
@@ -126,7 +128,7 @@ def macro_f1(pred, truth) -> float:
 
 def _rankable(scores, truth, need_irrelevant: bool):
     scores = np.asarray(scores, dtype=np.float64)
-    truth = _binary(truth, "truth")
+    truth = as_binary(truth, "truth")
     if scores.shape != truth.shape:
         raise ValueError("scores and truth shapes differ")
     pos = truth.sum(axis=1)

@@ -22,6 +22,7 @@ import numpy as np
 from scipy.spatial.distance import squareform
 
 from .linalg import SingularSystemError, euclidean, fit_ridge, integer_norms, pairwise_distances
+from .metrics import as_binary
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -61,7 +62,7 @@ class DistanceModel:
             raise ValueError("references and train_labels must be matrices")
         if not np.all(np.isfinite(self.references)):
             raise ValueError("references contain non-finite values")
-        _check_binary(self.train_labels, "train_labels")
+        as_binary(self.train_labels, "train_labels")
         (K, M), (U, L) = np.shape(self.references), np.shape(self.train_labels)
         _check_array(self.coefficients, "coefficients", (K, U), "K x U")
         if self.scale is not None:
@@ -152,13 +153,6 @@ class Prediction:
     uncertainty: str | np.ndarray
 
 
-def _check_binary(Y: np.ndarray, name: str = "Y") -> np.ndarray:
-    Y = np.asarray(Y, dtype=np.float64)
-    if not np.all((Y == 0.0) | (Y == 1.0)):
-        raise ValueError(f"{name} must be binary (entries in {{0,1}})")
-    return Y
-
-
 def _check_array(a, name: str, shape: tuple, dims: str) -> None:
     if np.shape(a) != shape:
         raise ValueError(f"{name} are {np.shape(a)}, expected {shape} ({dims})")
@@ -213,7 +207,7 @@ def fit(X, Y, alpha_mode="auto", label_names=(), scale=False):
     after its SVD fallback), and model.coefficients its K x U solution.
     """
     X = np.asarray(X, dtype=np.float64)
-    Y = _check_binary(Y)
+    Y = as_binary(Y, "Y")
     if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
         raise ValueError("X and Y must be 2-d with matching row counts")
     bounds = None

@@ -182,6 +182,22 @@ class TestTrainPredictEvaluate:
         ]) == 1
         assert not report.exists()
 
+    def test_evaluate_takes_label_count_from_predictions(self, tmp_path, toy_specs):
+        # a single-file truth with no manifest needs no flag: its last L
+        # columns are the labels, L the width of the predictions
+        train, test = toy_specs
+        model_path, preds = tmp_path / "m.dmlm", tmp_path / "p.jsonl"
+        cli.main(["train", train, "--alpha", "0.1", "--out", str(model_path)])
+        cli.main(["predict", str(model_path), test, "--out", str(preds)])
+        pasted = tmp_path / "test.csv"
+        pasted.write_text("".join(f"{a},{b}\n" for a, b in zip(
+            *(Path(part).read_text().splitlines() for part in test.split(";")))))
+        reports = [tmp_path / "pair.json", tmp_path / "single.json"]
+        for truth, report in zip((test, str(pasted)), reports):
+            assert cli.main(["evaluate", str(preds), truth, "--out", str(report)]) == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+        assert reports[0].read_text().endswith("}\n")
+
     def test_empty_input_yields_empty_output(self, tmp_path, toy_specs):
         train, _ = toy_specs
         model_path = tmp_path / "m.dmlm"
@@ -334,6 +350,7 @@ class TestModelDecidesInput:
         ["train", "{train}", "--threshold", "local-rcut"],
         ["evaluate", "{preds}", "{test}", "--format", "json"],
         ["evaluate", "{preds}", "{test}", "--labels-xml", "x.xml"],
+        ["evaluate", "{preds}", "{test}", "--labels-last", "3"],  # L is the predictions' width
         ["benchmark", "--dataset", "toy,{train},{test}", "--labels-xml", "x.xml"],
         ["stats", "{table}", "--direction", "lower", "--alpha", "0.05"],
     ])
