@@ -10,9 +10,9 @@ Run: python3 demos/method_comparison_stats.py
 """
 import numpy as np
 
-from distmlc import metrics, models, stats, tuning
+from distmlc import metrics, modelio, stats
 
-METHOD_NAMES = ("ml-mlm", "nn-mlm", "lls-mlm", "br-mlm")
+METHOD_NAMES = modelio.METHODS
 
 
 def make_problem(rng, n, m, l):
@@ -25,17 +25,8 @@ def make_problem(rng, n, m, l):
 
 
 def ranking_scores(method, Xtr, Ytr, Xte):
-    if method == "ml-mlm":
-        tuned = tuning.tune_ml_mlm(Xtr, Ytr)
-        return np.vstack([models.ml_mlm_predict(tuned, x).scores for x in Xte])
-    if method == "nn-mlm":
-        model = models.train(Xtr, Ytr)
-        return np.vstack([models.nn_mlm_predict(model, x).scores for x in Xte])
-    if method == "lls-mlm":
-        model = models.train(Xtr, Ytr)
-        return np.vstack([models.lls_mlm_predict(model, x).scores for x in Xte])
-    model = models.train_br(Xtr, Ytr)
-    return np.vstack([models.br_mlm_predict(model, x).scores for x in Xte])
+    train, decode = modelio.method_functions(method)
+    return decode(train(Xtr, Ytr), Xte).scores
 
 
 rng = np.random.default_rng(17)

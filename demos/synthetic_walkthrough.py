@@ -46,10 +46,8 @@ tuned = tuning.tune_ml_mlm(Xtr, Ytr)
 print(f"\ntuned P = {tuned.power:.3f} (2^{np.log2(tuned.power):.2f}), "
       f"threshold t = {tuned.threshold:.4f}, alpha = {tuned.model.alpha:.4g}")
 
-preds = [models.ml_mlm_predict(tuned, x) for x in Xte]
-scores = np.vstack([p.scores for p in preds])
-labels = np.vstack([p.labels for p in preds]).astype(float)
-report = metrics.evaluate(labels, scores, Yte)
+pred = models.ml_mlm_predict(tuned, Xte)
+report = metrics.evaluate(pred.labels, pred.scores, Yte)
 print("\nIDW variant with cardinality thresholding:")
 print(f"  ranking loss      {report.ranking_loss:.4f}")
 print(f"  hamming loss      {report.hamming_loss:.4f}")
@@ -60,16 +58,13 @@ print(f"  average precision {report.average_precision:.4f}")
 # the predicted distance to the closest reference doubles as an
 # uncertainty estimate; bucket counts tell how far test data sits
 # from the training set
-buckets = {"low": 0, "medium": 0, "high": 0}
-for p in preds:
-    buckets[p.uncertainty] += 1
+buckets = {b: int(np.count_nonzero(pred.uncertainty == b)) for b in ("low", "medium", "high")}
 print(f"\nuncertainty buckets: {buckets}")
 
 # nearest-reference variant for comparison (bipartition metrics only,
 # its degenerate scores carry no ranking information)
 nn_model = models.train(Xtr, Ytr)
-nn_labels = np.vstack([models.nn_mlm_predict(nn_model, x).labels
-                       for x in Xte]).astype(float)
+nn_labels = models.nn_mlm_predict(nn_model, Xte).labels
 print("\nnearest-reference variant:")
 print(f"  hamming loss      {metrics.hamming_loss(nn_labels, Yte):.4f}")
 print(f"  accuracy          {metrics.accuracy(nn_labels, Yte):.4f}")

@@ -111,31 +111,34 @@ def read_predictions(path):
     """The scores and labels of a predictions file, each an N x L array; every
     record holds finite scores and 0/1 labels, as many as the first record's scores."""
     scores, labels = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                s, y = (np.array(rec[field], dtype=np.float64) for field in ("scores", "labels"))
-                if s.ndim != 1 or y.ndim != 1:
-                    raise ValueError("scores and labels must be lists of numbers")
-            except (ValueError, KeyError, TypeError, OverflowError) as exc:
-                raise dataio.DataFormatError(
-                    f"{path} line {n}: not a prediction record "
-                    f"({type(exc).__name__}: {exc})") from None
-            if not scores:
-                first, width = n, s.size
-            for field, size in (("scores", s.size), ("labels", y.size)):
-                if size != width:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for n, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    rec = json.loads(line)
+                    s, y = (np.array(rec[key], dtype=np.float64) for key in ("scores", "labels"))
+                    if s.ndim != 1 or y.ndim != 1:
+                        raise ValueError("scores and labels must be lists of numbers")
+                except (ValueError, KeyError, TypeError, OverflowError) as exc:
                     raise dataio.DataFormatError(
-                        f"{path} line {n}: {size} {field}, but line {first} has {width} scores")
-            if not np.all(np.isfinite(s)):
-                raise dataio.DataFormatError(f"{path} line {n}: a score is not finite")
-            if not np.all((y == 0.0) | (y == 1.0)):
-                raise dataio.DataFormatError(f"{path} line {n}: a label is not 0 or 1")
-            scores.append(s)
-            labels.append(y)
+                        f"{path} line {n}: not a prediction record "
+                        f"({type(exc).__name__}: {exc})") from None
+                if not scores:
+                    first, width = n, s.size
+                for field, size in (("scores", s.size), ("labels", y.size)):
+                    if size != width:
+                        raise dataio.DataFormatError(
+                            f"{path} line {n}: {size} {field}, but line {first} has {width} scores")
+                if not np.all(np.isfinite(s)):
+                    raise dataio.DataFormatError(f"{path} line {n}: a score is not finite")
+                if not np.all((y == 0.0) | (y == 1.0)):
+                    raise dataio.DataFormatError(f"{path} line {n}: a label is not 0 or 1")
+                scores.append(s)
+                labels.append(y)
+    except UnicodeDecodeError as exc:
+        raise dataio.DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not scores:
         raise dataio.DataFormatError(f"{path}: no prediction records")
     return np.array(scores), np.array(labels)

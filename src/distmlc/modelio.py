@@ -9,9 +9,10 @@ deterministic (fixed timestamps, fixed member order), so retraining on
 identical inputs yields byte-identical files, and load(save(m)) gives
 bit-identical predictions. Loaded arrays are read-only views of the
 bytes read from the file. This module checks only the format version, the
-method name and the blob shapes ("dimensions", a JSON object) and sizes; the
-record checks the rest of the model, its scaler included, when load_model
-builds it, as when training does.
+method name, the blob shapes ("dimensions", a JSON object) and sizes, and that
+every scaler entry is a JSON number (not a bool or a string); the record checks
+the rest of the model, its scaler included, when load_model builds it, as when
+training does.
 
 Format 4 keeps the U unique training label vectors (train_labels) and
 their counts (label_counts); coefficients are K x U and br-mlm's
@@ -112,6 +113,10 @@ def load_model(path):
                       for name, shape in dimensions.items()}
         names = manifest["label_names"]  # a JSON list; the record holds a tuple
         scale = manifest["scale"]
+        if scale is not None:
+            scale = [scale["min"], scale["span"]]
+            if any(type(v) not in (int, float) for row in scale for v in row):
+                raise ValueError("scale minima and spans must be JSON numbers")
         base = DistanceModel(
             references=arrays["references"],
             coefficients=arrays["coefficients"],
@@ -119,8 +124,7 @@ def load_model(path):
             train_labels=arrays["train_labels"],
             label_names=tuple(names) if isinstance(names, list) else names,
             label_counts=arrays["label_counts"],
-            scale=None if scale is None else np.array([scale["min"], scale["span"]],
-                                                      dtype=np.float64),
+            scale=None if scale is None else np.array(scale, dtype=np.float64),
         )
         if method == "ml-mlm":
             model = TunedMlMlm(model=base, power=manifest["P"], threshold=manifest["t"],

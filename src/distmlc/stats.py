@@ -49,31 +49,34 @@ class ResultTable:
         """Read a table whose header names each method once and whose every
         other row is a dataset name, each dataset once, and one number per
         method; a table that breaks this raises DataFormatError naming the file."""
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise DataFormatError(f"{path}: no header row")
-            methods = tuple(header[1:])
-            for i, name in enumerate(methods):
-                if name in methods[:i]:
-                    raise DataFormatError(f"{path} line 1: method {name!r} appears twice")
-            datasets = []
-            rows = []
-            for row in reader:
-                if not row:
-                    continue
-                where = f"{path} line {reader.line_num}"
-                if len(row) != len(header):
-                    raise DataFormatError(f"{where}: {len(row)} cells, but the header has "
-                                          f"{len(header)}")
-                if row[0] in datasets:
-                    raise DataFormatError(f"{where}: dataset {row[0]!r} appears twice")
-                datasets.append(row[0])
-                try:
-                    rows.append([float(v) for v in row[1:]])
-                except ValueError as exc:
-                    raise DataFormatError(f"{where}: {exc}") from None
+        try:
+            with open(path, "r", newline="", encoding="utf-8") as fh:
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                if header is None:
+                    raise DataFormatError(f"{path}: no header row")
+                methods = tuple(header[1:])
+                for i, name in enumerate(methods):
+                    if name in methods[:i]:
+                        raise DataFormatError(f"{path} line 1: method {name!r} appears twice")
+                datasets = []
+                rows = []
+                for row in reader:
+                    if not row:
+                        continue
+                    where = f"{path} line {reader.line_num}"
+                    if len(row) != len(header):
+                        raise DataFormatError(f"{where}: {len(row)} cells, but the header has "
+                                              f"{len(header)}")
+                    if row[0] in datasets:
+                        raise DataFormatError(f"{where}: dataset {row[0]!r} appears twice")
+                    datasets.append(row[0])
+                    try:
+                        rows.append([float(v) for v in row[1:]])
+                    except ValueError as exc:
+                        raise DataFormatError(f"{where}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
         if not rows:
             raise DataFormatError(f"{path}: no data row after the header")
         try:

@@ -580,20 +580,29 @@ class TestExitCodes:
         assert f"argument {argv[-2]}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("case", ["manifest", "arff", "csv"])
+    @pytest.mark.parametrize("case", ["manifest", "arff", "csv", "stats-table", "predictions"])
     def test_data_error_unreadable_file_names_it(self, tmp_path, toy_specs, capsys, case):
-        train, _ = toy_specs
-        bad = tmp_path / {"manifest": "bad.xml", "arff": "bad.arff", "csv": "bad.csv"}[case]
+        train, test = toy_specs
+        bad = tmp_path / {"manifest": "bad.xml", "arff": "bad.arff"}.get(case, "bad.csv")
+        out = tmp_path / "out"
+        argv = ["train", str(bad), "--labels-last", "1", "--out", str(out)]
         if case == "manifest":
             bad.write_text("not xml")
-            spec = f"{train.split(';')[0]}@{bad}"
-        else:  # a byte that is not UTF-8, on the first line or a later one
-            bad.write_bytes(b"\xff\xfe" if case == "arff" else b"a,y\n1,\xff\n")
-            spec = str(bad)
-        model = tmp_path / "m.dmlm"
-        assert cli.main(["train", spec, "--labels-last", "1", "--out", str(model)]) == 2
-        assert str(bad) in capsys.readouterr().err
-        assert not model.exists()
+            argv[1] = f"{train.split(';')[0]}@{bad}"
+        elif case == "arff":  # a byte that is not UTF-8, on the first line or a later one
+            bad.write_bytes(b"\xff\xfe")
+        elif case == "stats-table":
+            bad.write_bytes(b"dataset,a,b\nd1,0.1,0.2\nd2,0.2,\xff\n")
+            argv = ["stats", str(bad), "--direction", "lower", "--out", str(out)]
+        elif case == "predictions":
+            bad.write_bytes(b'{"scores": [0.5, 0.5, 0.5], "labels": [1, 0, 1]}\n\xff\n')
+            argv = ["evaluate", str(bad), test, "--out", str(out)]
+        else:
+            bad.write_bytes(b"a,y\n1,\xff\n")
+        assert cli.main(argv) == 2
+        named = str(bad) if case == "manifest" else f"{bad}: not UTF-8 text"
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("line, message", [
         ('{"labels": [1, 0, 1]}', "{preds} line 8: not a prediction record (KeyError"),

@@ -230,6 +230,10 @@ class TestValidation:
         ({"min": [0.0, float("nan"), 0.0], "span": [1.0, 1.0, 1.0]}, "scale"),
         ({"min": [0.0, 0.0, 0.0], "span": [1.0, 0.0, 1.0]}, "scale"),
         ({"min": ["x", 0.0, 0.0], "span": [1.0, 1.0, 1.0]}, "cannot read"),
+        # a JSON true or false, or a numeric string, is not a number
+        ({"min": [True, False, 0.0], "span": [1.0, 1.0, 1.0]}, "JSON numbers"),
+        ({"min": [0.0, 0.0, 0.0], "span": [True, 2.0, 3.0]}, "JSON numbers"),
+        ({"min": ["0", "1", "2"], "span": [1.0, 1.0, 1.0]}, "JSON numbers"),
     ])
     def test_bad_scale(self, saved, scale, match):
         def edit(manifest, arrays):
