@@ -580,26 +580,26 @@ class TestExitCodes:
         assert f"argument {argv[-2]}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("case", ["manifest", "arff", "csv", "stats-table", "predictions"])
+    # each file a command reads, with the bytes that make it unreadable: not
+    # XML, or a byte that is not UTF-8 (on the first line or a later one)
+    UNREADABLE = {
+        "manifest": ("bad.xml", b"not xml", ["train", "{features}@{bad}", "--labels-last", "1"]),
+        "arff": ("bad.arff", b"\xff\xfe", ["train", "{bad}", "--labels-last", "1"]),
+        "csv": ("bad.csv", b"a,y\n1,\xff\n", ["train", "{bad}", "--labels-last", "1"]),
+        "stats-table": ("bad.csv", b"dataset,a,b\nd1,0.1,0.2\nd2,0.2,\xff\n",
+                        ["stats", "{bad}", "--direction", "lower"]),
+        "predictions": ("bad.jsonl", b'{"scores": [0.5, 0.5, 0.5], "labels": [1, 0, 1]}\n\xff\n',
+                        ["evaluate", "{bad}", "{test}"]),
+    }
+
+    @pytest.mark.parametrize("case", list(UNREADABLE))
     def test_data_error_unreadable_file_names_it(self, tmp_path, toy_specs, capsys, case):
         train, test = toy_specs
-        bad = tmp_path / {"manifest": "bad.xml", "arff": "bad.arff"}.get(case, "bad.csv")
-        out = tmp_path / "out"
-        argv = ["train", str(bad), "--labels-last", "1", "--out", str(out)]
-        if case == "manifest":
-            bad.write_text("not xml")
-            argv[1] = f"{train.split(';')[0]}@{bad}"
-        elif case == "arff":  # a byte that is not UTF-8, on the first line or a later one
-            bad.write_bytes(b"\xff\xfe")
-        elif case == "stats-table":
-            bad.write_bytes(b"dataset,a,b\nd1,0.1,0.2\nd2,0.2,\xff\n")
-            argv = ["stats", str(bad), "--direction", "lower", "--out", str(out)]
-        elif case == "predictions":
-            bad.write_bytes(b'{"scores": [0.5, 0.5, 0.5], "labels": [1, 0, 1]}\n\xff\n')
-            argv = ["evaluate", str(bad), test, "--out", str(out)]
-        else:
-            bad.write_bytes(b"a,y\n1,\xff\n")
-        assert cli.main(argv) == 2
+        name, content, argv = self.UNREADABLE[case]
+        bad, out = tmp_path / name, tmp_path / "out"
+        bad.write_bytes(content)
+        paths = {"bad": bad, "features": train.split(";")[0], "test": test}
+        assert cli.main([a.format(**paths) for a in argv] + ["--out", str(out)]) == 2
         named = str(bad) if case == "manifest" else f"{bad}: not UTF-8 text"
         assert named in capsys.readouterr().err
         assert not out.exists()
