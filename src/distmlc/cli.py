@@ -56,17 +56,6 @@ class UsageError(Exception):
     pass
 
 
-def load_features(spec, manifest):
-    """The feature columns of a predict input, unscaled: the features file of a
-    CSV pair, whole, or the columns of a single file that are not the model's
-    labels."""
-    if ";" in spec:
-        return dataio.read_csv_matrix(spec.split(";", 1)[0])[1]
-    names, values = dataio.read_table(spec.rsplit("@", 1)[0])
-    labels = set(manifest["label_names"])
-    return values[:, [i for i, name in enumerate(names) if name not in labels]]
-
-
 def fit_method(method, ds, alpha="auto", power=None, scale=False):
     """Train one model of the requested kind on a Dataset; alpha is "auto" or
     a float, power None (the ml-mlm default), "tuned" or a float; scale as in models.fit."""
@@ -162,7 +151,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model, manifest = load_model(args.model)
-    X = load_features(args.data, manifest)
+    X = dataio.load_features(args.data, manifest["label_names"])
     write_predictions(predict_dataset(manifest["method"], model, X, args.threshold), args.out)
     return EXIT_OK
 
@@ -250,10 +239,7 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    direction = (
-        stats.LOWER_BETTER if args.direction == "lower" else stats.HIGHER_BETTER
-    )
-    table = stats.ResultTable.from_csv(args.table, direction)
+    table = stats.ResultTable.from_csv(args.table, args.direction)
     diagram = stats.cd_diagram_data(table)
     stats.write_diagram_json(diagram, args.out)
     return EXIT_OK

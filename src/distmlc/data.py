@@ -212,29 +212,43 @@ def read_arff(path) -> tuple[tuple[str, ...], np.ndarray]:
     return tuple(attr_names), np.vstack(rows) if rows else np.zeros((0, len(attr_names)))
 
 
-def read_csv_matrix(path) -> tuple[tuple[str, ...], np.ndarray]:
-    """The header row and the value matrix of one CSV file (0 rows when
-    there is only the header). A header that names a column twice is refused."""
-    rows = []
+def read_csv_rows(path):
+    """The header of one UTF-8 CSV file as a tuple, then (line number, cells)
+    for each non-blank row, as a generator. A file with no header row, a
+    header that names a column twice, or a row of another cell count than the
+    header's raises DataFormatError naming the file (and the line)."""
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = tuple(next(reader, ()))
+            if not header:
+                raise DataFormatError("no header row")
             if len(set(header)) < len(header):
                 name = next(n for i, n in enumerate(header) if n in header[:i])
                 raise DataFormatError(f"column '{name}' named twice in the header")
-            for row in reader:
-                if not row:
-                    continue
+            yield header
+            for row in filter(None, reader):  # a blank line reads as []
                 if len(row) != len(header):
                     raise DataFormatError(f"expected {len(header)} values, got {len(row)}")
-                values = _plain_floats(row)
-                rows.append([_parse_value(t) for t in row] if values is None else values)
+                yield reader.line_num, row
     except (DataFormatError, csv.Error) as exc:
-        raise DataFormatError(f"{path} line {reader.line_num}: {exc}") from None
+        where = f" line {reader.line_num}" if reader.line_num else ""
+        raise DataFormatError(f"{path}{where}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    return header, np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
+
+
+def read_csv_matrix(path) -> tuple[tuple[str, ...], np.ndarray]:
+    """The header row and the value matrix of one CSV file (read_csv_rows; 0
+    rows when there is only the header)."""
+    rows = read_csv_rows(path)
+    header, values = next(rows), []
+    for lineno, row in rows:
+        try:  # a row is never empty, so neither is a list _plain_floats returns
+            values.append(_plain_floats(row) or [_parse_value(t) for t in row])
+        except DataFormatError as exc:
+            raise DataFormatError(f"{path} line {lineno}: {exc}") from None
+    return header, np.array(values, dtype=np.float64).reshape(len(values), len(header))
 
 
 def read_table(path) -> tuple[tuple[str, ...], np.ndarray]:
@@ -284,3 +298,14 @@ def load_dataset(spec: str, labels_last: int | None = None) -> Dataset:
         feature_names=tuple(names[i] for i in feat_idx),
         label_names=tuple(names[i] for i in label_idx),
     )
+
+
+def load_features(spec: str, label_names) -> np.ndarray:
+    """The feature columns of a dataset spec, unscaled: the features file of a
+    CSV pair, whole, or every column of a single file that label_names does not
+    name (an @labels.xml suffix is not read)."""
+    if ";" in spec:
+        return read_csv_matrix(spec.split(";", 1)[0])[1]
+    names, values = read_table(spec.rsplit("@", 1)[0])
+    labels = set(label_names)
+    return values[:, [i for i, name in enumerate(names) if name not in labels]]

@@ -317,16 +317,19 @@ def log_distances(deltas) -> np.ndarray:
 
 
 def label_weights(train_labels, counts) -> np.ndarray:
-    """The U x 2L matrix [c*Y | c*(1 - Y)] that idw_ratio scores against."""
+    """The U x 2L matrix [c*Y | c*(1 - Y)] that idw_scores scores against."""
     Y = np.asarray(train_labels, dtype=np.float64)
     return np.asarray(counts, dtype=np.float64)[:, None] * np.hstack([Y, 1.0 - Y])
 
 
-def idw_ratio(log_deltas, weights, P: float) -> np.ndarray:
-    """IDW scores from log_distances(deltas) and label_weights(labels, counts).
-    Label l scores a / (a + b), the weights c * delta^-P (in log space, so large
-    P cannot overflow) summed over label vectors with (a) and without (b) l: in
-    [0, 1], and exactly 1 (0) when every vector of nonzero weight has (lacks) l."""
+def idw_scores(log_deltas, weights, P: float) -> np.ndarray:
+    """Inverse-distance-weighted label scores from log_distances of U predicted
+    distances to a model's unique label vectors (one row, or Q x U) and their
+    label_weights. A vector weighs its count times delta^-P, taken as 1 for a
+    zero delta (a negative one is clamped to 0). Label l scores a / (a + b), the
+    weights (in log space, so large P cannot overflow) summed over the vectors
+    with (a) and without (b) l: in [0, 1], and exactly 1 (0) when every vector
+    of nonzero weight has (lacks) l."""
     if P <= 0:
         raise ValueError("power parameter P must be positive")
     logw = -P * np.asarray(log_deltas, dtype=np.float64)
@@ -334,20 +337,6 @@ def idw_ratio(log_deltas, weights, P: float) -> np.ndarray:
     ab = np.exp(logw, out=logw) @ weights
     a, b = ab[..., :ab.shape[-1] // 2], ab[..., ab.shape[-1] // 2:]
     return a / (a + b)
-
-
-def idw_scores(deltas, train_labels, P: float, counts) -> np.ndarray:
-    """Inverse-distance-weighted convex combination of the training labels.
-
-    deltas is one row of U predicted distances to the U rows of
-    train_labels, or a Q x U matrix, one row per query; counts holds the
-    U multiplicities of those rows (a trained model's label_counts, which
-    go with its train_labels). A label vector's weight is its count times
-    delta^-P, with delta^-P taken as 1 for a zero delta (negatives are
-    clamped first). Scores lie in [0, 1], exactly 1 (0) for a label that
-    every label vector of nonzero weight has (lacks); see idw_ratio.
-    """
-    return idw_ratio(log_distances(deltas), label_weights(train_labels, counts), P)
 
 
 def categorize_uncertainty(min_distance):
@@ -406,7 +395,7 @@ def ml_mlm_predict(tuned, x, threshold=None) -> Prediction:
     (scores above it), or "local-rcut" (each row's top k scores, k the label
     count of its nearest reference); the scores are the same in every case."""
     deltas = predict_deltas(tuned.model, x)
-    scores = idw_ratio(log_distances(deltas), tuned.model.label_weights, tuned.power)
+    scores = idw_scores(log_distances(deltas), tuned.model.label_weights, tuned.power)
     if threshold == "local-rcut":
         return _finish_rank_cut(scores, tuned.model, deltas)
     if threshold in (None, "cardinality"):

@@ -3,17 +3,16 @@ Nemenyi post-hoc critical difference, with serializable diagram data.
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataFormatError
+from .data import DataFormatError, read_csv_rows
 
-LOWER_BETTER = "lower_better"
-HIGHER_BETTER = "higher_better"
+LOWER_BETTER = "lower"
+HIGHER_BETTER = "higher"
 
 # studentized range quantiles / sqrt(2) at alpha = 0.05, k = 2..20
 _Q_005 = {
@@ -46,41 +45,24 @@ class ResultTable:
 
     @classmethod
     def from_csv(cls, path, direction: str) -> "ResultTable":
-        """Read a table whose header names each method once and whose every
-        other row is a dataset name, each dataset once, and one number per
-        method; a table that breaks this raises DataFormatError naming the file."""
-        try:
-            with open(path, "r", newline="", encoding="utf-8") as fh:
-                reader = csv.reader(fh)
-                header = next(reader, None)
-                if header is None:
-                    raise DataFormatError(f"{path}: no header row")
-                methods = tuple(header[1:])
-                for i, name in enumerate(methods):
-                    if name in methods[:i]:
-                        raise DataFormatError(f"{path} line 1: method {name!r} appears twice")
-                datasets = []
-                rows = []
-                for row in reader:
-                    if not row:
-                        continue
-                    where = f"{path} line {reader.line_num}"
-                    if len(row) != len(header):
-                        raise DataFormatError(f"{where}: {len(row)} cells, but the header has "
-                                              f"{len(header)}")
-                    if row[0] in datasets:
-                        raise DataFormatError(f"{where}: dataset {row[0]!r} appears twice")
-                    datasets.append(row[0])
-                    try:
-                        rows.append([float(v) for v in row[1:]])
-                    except ValueError as exc:
-                        raise DataFormatError(f"{where}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-        if not rows:
+        """Read, through data.read_csv_rows, a table whose header names the methods
+        after its first cell and whose other rows each give a dataset, named once,
+        and one number per method; a refusal is a DataFormatError naming the file."""
+        rows = read_csv_rows(path)
+        methods, datasets, values = next(rows)[1:], [], []
+        for lineno, row in rows:
+            where = f"{path} line {lineno}"
+            if row[0] in datasets:
+                raise DataFormatError(f"{where}: dataset {row[0]!r} appears twice")
+            datasets.append(row[0])
+            try:
+                values.append([float(v) for v in row[1:]])
+            except ValueError as exc:
+                raise DataFormatError(f"{where}: {exc}") from None
+        if not values:
             raise DataFormatError(f"{path}: no data row after the header")
         try:
-            return cls(methods=methods, datasets=tuple(datasets), values=np.array(rows),
+            return cls(methods=methods, datasets=tuple(datasets), values=np.array(values),
                        direction=direction)
         except ValueError as exc:  # too few methods or datasets, a non-finite cell
             raise DataFormatError(f"{path}: {exc}") from None

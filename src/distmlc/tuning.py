@@ -54,7 +54,7 @@ def search_power(loo, Y, labels, counts) -> tuple[float, tuple[tuple[float, floa
     curve = []
     for s in POWER_GRID_EXPONENTS:
         P = float(2.0**s)
-        scores = _models.idw_ratio(log_d, weights, P)
+        scores = _models.idw_scores(log_d, weights, P)
         curve.append((P, ranking_loss(scores, Y)))
     best_p = min(curve, key=lambda point: point[1])[0]  # first of equal minima
     return best_p, tuple(curve)
@@ -104,12 +104,12 @@ def tune_ml_mlm(X, Y, alpha_mode="auto", power_mode="tuned", label_names=(),
         raise SingularSystemError("U = Dx^T Dx + alpha*I is not positive definite")
     loo = loo_deltas(gram, Dx, Dy, model.coefficients)
     del Dx, Dy, gram  # the rest needs only the LOO matrix
-    labels, counts = model.train_labels, model.label_counts
     if power_mode == "tuned":
-        power, curve = search_power(loo, Y, labels, counts)
+        power, curve = search_power(loo, Y, model.train_labels, model.label_counts)
     else:
         power, curve = float(power_mode), ()
-    threshold = cardinality_threshold(_models.idw_scores(loo, labels, power, counts), Y)
+    loo_scores = _models.idw_scores(_models.log_distances(loo), model.label_weights, power)
+    threshold = cardinality_threshold(loo_scores, Y)
     return _models.TunedMlMlm(model=model, power=power, threshold=threshold, lrl_curve=curve)
 
 

@@ -117,6 +117,13 @@ def significantly_different(diagram: dict, a: str, b: str) -> bool:
     return gap > diagram["critical_difference"]
 
 
+def idw(deltas, labels, P, counts):
+    """models.idw_scores of raw deltas to label vectors counted as in counts."""
+    from distmlc import models
+
+    return models.idw_scores(models.log_distances(deltas), models.label_weights(labels, counts), P)
+
+
 def unique_rows(X):
     """Unique rows of X (exact float equality), keeping first-seen order."""
     from distmlc.models import first_seen

@@ -476,10 +476,10 @@ class TestStatsCommand:
     @pytest.mark.parametrize("text, message", [
         ("dataset,a,b\nd1,0.1,0.2\nd2,0.2,x\n",
          "{table} line 3: could not convert string to float: 'x'"),
-        ("dataset,a,b\nd1,0.1,0.2\nd2,0.2\n", "{table} line 3: 2 cells, but the header has 3"),
-        ("dataset,a,b\nd1,0.1,0.2,0.3\nd2,0.2,0.3\n",
-         "{table} line 2: 4 cells, but the header has 3"),
-        ("dataset,a,a\nd1,0.1,0.2\nd2,0.2,0.3\n", "{table} line 1: method 'a' appears twice"),
+        ("dataset,a,b\nd1,0.1,0.2\nd2,0.2\n", "{table} line 3: expected 3 values, got 2"),
+        ("dataset,a,b\nd1,0.1,0.2,0.3\nd2,0.2,0.3\n", "{table} line 2: expected 3 values, got 4"),
+        ("dataset,a,a\nd1,0.1,0.2\nd2,0.2,0.3\n",
+         "{table} line 1: column 'a' named twice in the header"),
         ("", "{table}: no header row"),
         ("dataset,a,b\n", "{table}: no data row after the header"),
         ("dataset,a,b\nd1,0.1,0.2\nd2,0.2,0.3\nd1,0.3,0.1\n",
@@ -580,28 +580,32 @@ class TestExitCodes:
         assert f"argument {argv[-2]}" in capsys.readouterr().err
         assert not out.exists()
 
-    # each file a command reads, with the bytes that make it unreadable: not
-    # XML, or a byte that is not UTF-8 (on the first line or a later one)
+    # each file a command reads, with the bytes that make it unreadable (not
+    # XML, or a byte that is not UTF-8 on the first line or a later one) or
+    # that a dataset refuses, and the text that names it
     UNREADABLE = {
-        "manifest": ("bad.xml", b"not xml", ["train", "{features}@{bad}", "--labels-last", "1"]),
-        "arff": ("bad.arff", b"\xff\xfe", ["train", "{bad}", "--labels-last", "1"]),
-        "csv": ("bad.csv", b"a,y\n1,\xff\n", ["train", "{bad}", "--labels-last", "1"]),
+        "manifest": ("bad.xml", b"not xml", ["train", "{features}@{bad}", "--labels-last", "1"],
+                     "{bad}"),
+        "arff": ("bad.arff", b"\xff\xfe", ["train", "{bad}", "--labels-last", "1"],
+                 "{bad}: not UTF-8 text"),
+        "csv": ("bad.csv", b"a,y\n1,\xff\n", ["train", "{bad}", "--labels-last", "1"],
+                "{bad}: not UTF-8 text"),
         "stats-table": ("bad.csv", b"dataset,a,b\nd1,0.1,0.2\nd2,0.2,\xff\n",
-                        ["stats", "{bad}", "--direction", "lower"]),
+                        ["stats", "{bad}", "--direction", "lower"], "{bad}: not UTF-8 text"),
         "predictions": ("bad.jsonl", b'{"scores": [0.5, 0.5, 0.5], "labels": [1, 0, 1]}\n\xff\n',
-                        ["evaluate", "{bad}", "{test}"]),
+                        ["evaluate", "{bad}", "{test}"], "{bad}: not UTF-8 text"),
     }
 
     @pytest.mark.parametrize("case", list(UNREADABLE))
     def test_data_error_unreadable_file_names_it(self, tmp_path, toy_specs, capsys, case):
         train, test = toy_specs
-        name, content, argv = self.UNREADABLE[case]
-        bad, out = tmp_path / name, tmp_path / "out"
+        name, content, argv, message = self.UNREADABLE[case]
+        bad, labels, out = tmp_path / name, tmp_path / "l.csv", tmp_path / "out"
         bad.write_bytes(content)
-        paths = {"bad": bad, "features": train.split(";")[0], "test": test}
+        labels.write_text("y0,y1\n1,0\n0,1\n")
+        paths = {"bad": bad, "labels": labels, "features": train.split(";")[0], "test": test}
         assert cli.main([a.format(**paths) for a in argv] + ["--out", str(out)]) == 2
-        named = str(bad) if case == "manifest" else f"{bad}: not UTF-8 text"
-        assert named in capsys.readouterr().err
+        assert message.format(**paths) in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("line, message", [

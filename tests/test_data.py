@@ -214,6 +214,25 @@ class TestParseCsv:
         assert back.feature_names == ds.feature_names
 
 
+class TestLoadFeatures:
+    def test_pair_gives_the_features_file_whole(self, tmp_path):
+        f, l = tmp_path / "f.csv", tmp_path / "l.csv"
+        f.write_text("labelA,b\n1,2\n3,4\n")  # a feature may share a label's name
+        l.write_text("labelA\n0\n1\n")
+        X = dataio.load_features(f"{f};{l}", ("labelA",))
+        np.testing.assert_array_equal(X, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_single_file_drops_the_named_labels_and_ignores_a_manifest(
+            self, tmp_path, dense_file):
+        X = dataio.load_features(f"{dense_file}@{tmp_path / 'absent.xml'}", ("labelA", "labelB"))
+        np.testing.assert_array_equal(X, dataio.load_dataset(str(dense_file), 2).features)
+
+    def test_lone_features_file_is_taken_whole(self, tmp_path):
+        f = tmp_path / "te.csv"
+        f.write_text("f0,f1,f2\n1,2,3\n")
+        np.testing.assert_array_equal(dataio.load_features(str(f), ("y0", "y1")), [[1.0, 2.0, 3.0]])
+
+
 class TestReadTable:
     def test_format_follows_file_name(self, tmp_path, dense_file, manifest_file):
         # the same table as CSV, under an upper-case .CSV name

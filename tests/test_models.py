@@ -13,6 +13,7 @@ from distmlc.tuning import cardinality_threshold, search_power, tune_ml_mlm
 
 from conftest import (
     brute_force_mlc,
+    idw,
     loo_from_fit,
     multilateration_objective,
     random_problem,
@@ -292,27 +293,27 @@ class TestRecordsCheckThemselves:
 class TestIdwScores:
     def test_uniform_weights_give_column_means(self):
         Y = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        scores = models.idw_scores(np.full(3, 2.0), Y, P=3.0, counts=np.ones(3))
+        scores = idw(np.full(3, 2.0), Y, P=3.0, counts=np.ones(3))
         np.testing.assert_allclose(scores, Y.mean(axis=0), atol=1e-12)
 
     def test_exact_match_dominates_at_large_p(self):
         Y = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-        scores = models.idw_scores(np.array([0.0, 2.0, 3.0]), Y, P=200.0, counts=np.ones(3))
+        scores = idw(np.array([0.0, 2.0, 3.0]), Y, P=200.0, counts=np.ones(3))
         np.testing.assert_allclose(scores, Y[0], atol=1e-12)
 
     def test_hand_arithmetic(self):
         Y = np.array([[1.0, 0.0], [0.0, 1.0]])
-        scores = models.idw_scores(np.array([1.0, 2.0]), Y, P=1.0, counts=np.ones(2))
+        scores = idw(np.array([1.0, 2.0]), Y, P=1.0, counts=np.ones(2))
         np.testing.assert_allclose(scores, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
 
     def test_negative_deltas_clamped_to_exact_match(self):
         Y = np.array([[1.0, 0.0], [0.0, 1.0]])
-        scores = models.idw_scores(np.array([-0.5, 2.0]), Y, P=50.0, counts=np.ones(2))
+        scores = idw(np.array([-0.5, 2.0]), Y, P=50.0, counts=np.ones(2))
         np.testing.assert_allclose(scores, Y[0], atol=1e-12)
 
     def test_requires_positive_power(self):
         with pytest.raises(ValueError):
-            models.idw_scores(np.ones(2), np.eye(2), P=0.0, counts=np.ones(2))
+            idw(np.ones(2), np.eye(2), P=0.0, counts=np.ones(2))
 
     @given(
         deltas=st.lists(st.floats(0.1, 10.0), min_size=2, max_size=8),
@@ -322,7 +323,7 @@ class TestIdwScores:
     def test_scores_are_convex_combination(self, deltas, p):
         rng = np.random.default_rng(99)
         Y = (rng.random((len(deltas), 3)) < 0.5).astype(float)
-        scores = models.idw_scores(np.array(deltas), Y, P=p, counts=np.ones(len(deltas)))
+        scores = idw(np.array(deltas), Y, P=p, counts=np.ones(len(deltas)))
         assert ((scores >= 0.0) & (scores <= 1.0)).all()
 
     def test_loo_sized_matrix_scores_in_unit_interval(self):
@@ -332,7 +333,7 @@ class TestIdwScores:
         rng = np.random.default_rng(61)
         D = 2.0 * rng.random((1500, 1500))
         Y = (rng.random((1500, 14)) < 0.3).astype(float)
-        scores = models.idw_scores(D, Y, P=64.0, counts=np.ones(1500))
+        scores = idw(D, Y, P=64.0, counts=np.ones(1500))
         assert ((scores >= 0.0) & (scores <= 1.0)).all()
 
     @pytest.mark.parametrize("P", [64.0, 256.0])
@@ -342,14 +343,14 @@ class TestIdwScores:
         Y = (rng.random((1500, 14)) < 0.3).astype(float)
         Y[:, 3], Y[:, 9] = 1.0, 0.0
         counts = rng.integers(1, 5, size=1500).astype(float)
-        scores = models.idw_scores(D, Y, P=P, counts=counts)
+        scores = idw(D, Y, P=P, counts=counts)
         assert (scores[:, 3] == 1.0).all() and (scores[:, 9] == 0.0).all()
 
     def test_weight_monotonicity(self):
         # closer reference gets strictly more weight for any positive power
         for P in (0.5, 1.0, 2.0, 8.0):
             Y = np.eye(2)
-            scores = models.idw_scores(np.array([1.0, 1.5]), Y, P=P, counts=np.ones(2))
+            scores = idw(np.array([1.0, 1.5]), Y, P=P, counts=np.ones(2))
             assert scores[0] > scores[1]
 
 
@@ -715,7 +716,7 @@ def _check_one_row_queries(decoder, X, Y, Q):
     scores = np.array([r.scores for r in rows], dtype=np.float64)
     if decoder in ("nn", "br"):
         np.testing.assert_array_equal(_bits(batch.scores), _bits(scores))
-    else:  # idw_ratio's @ weights and lls_scores' lstsq run on the whole batch
+    else:  # idw_scores' @ weights and lls_scores' lstsq run on the whole batch
         np.testing.assert_allclose(batch.scores, scores, rtol=1e-12, atol=1e-12)
     np.testing.assert_array_equal(batch.labels, [r.labels for r in rows])
     np.testing.assert_array_equal(_bits(batch.min_distance),
@@ -796,14 +797,14 @@ class TestUniqueLabelVectors:
         assert tuned.power == power
         for (P, value), (P_n, _) in zip(tuned.lrl_curve, curve):
             assert P == P_n
-            scores = models.idw_scores(loo, model.train_labels, P, model.label_counts)
-            scores_n = models.idw_scores(loo_n, Y, P, np.ones(len(Y)))
+            scores = models.idw_scores(models.log_distances(loo), model.label_weights, P)
+            scores_n = idw(loo_n, Y, P, np.ones(len(Y)))
             np.testing.assert_allclose(scores, scores_n, rtol=1e-9, atol=1e-9)
             # scores that tie analytically are ordered by round-off, which the
             # two summation orders may break either way
             low, high = self.ranking_loss_bracket(scores_n, Y, 1e-9)
             assert low - 1e-12 <= value <= high + 1e-12, P
-        threshold = cardinality_threshold(models.idw_scores(loo_n, Y, power, np.ones(len(Y))), Y)
+        threshold = cardinality_threshold(idw(loo_n, Y, power, np.ones(len(Y))), Y)
         assert tuned.threshold == pytest.approx(threshold, rel=1e-9, abs=1e-9)
 
     @staticmethod

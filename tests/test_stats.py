@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from scipy.stats import chi2, studentized_range
 
 import distmlc
 from distmlc import stats
+from distmlc.data import DataFormatError, read_csv_matrix
 
 from conftest import significantly_different, write_result_table
 
@@ -61,6 +63,18 @@ class TestResultTable:
         assert back.methods == t.methods
         assert back.datasets == t.datasets
         assert (back.values == t.values).all()
+
+    # datasets named by numbers, so that read_csv_matrix reads up to the refusal
+    @pytest.mark.parametrize("text", ["dataset,a,b\n1,0.1,0.2\n2,0.2\n",
+                                      "dataset,a,a\nd1,0.1,0.2\nd2,0.2,0.3\n"],
+                             ids=["ragged-row", "repeated-column"])
+    def test_csv_refusals_in_read_csv_matrix_wording(self, tmp_path, text):
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        with pytest.raises(DataFormatError) as matrix:
+            read_csv_matrix(p)
+        with pytest.raises(DataFormatError, match="^" + re.escape(str(matrix.value)) + "$"):
+            stats.ResultTable.from_csv(p, stats.LOWER_BETTER)
 
     def test_missing_cell_rejected(self):
         with pytest.raises(ValueError):

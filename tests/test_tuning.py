@@ -7,7 +7,7 @@ from distmlc import models, tuning
 from distmlc.linalg import pairwise_distances
 from distmlc.metrics import ranking_loss
 
-from conftest import loo_from_fit, random_problem, unique_rows
+from conftest import idw, loo_from_fit, random_problem, unique_rows
 
 
 def naive_loo_oracle(Dx, Dy, alpha, X, Y, refs):
@@ -144,7 +144,7 @@ class TestSearchPower:
         loo = 0.1 + 2.0 * rng.random((30, 9))
         Y = np.tile([1.0, 0.0, 0.0, 0.0], (30, 1))
         counts = rng.integers(1, 5, size=9).astype(float)
-        scores = models.idw_scores(loo, labels, 256.0, counts)
+        scores = idw(loo, labels, 256.0, counts)
         assert (scores[:, :2] == 1.0).all()
         _, curve = tuning.search_power(loo, Y, labels, counts)
         assert all(value == 0.0 for _, value in curve)
@@ -231,7 +231,7 @@ class TestTuneMlMlm:
         tuned = tuning.tune_ml_mlm(X, Y, alpha_mode=0.1, power_mode=2.0)
         model, Dx, Dy, gram = models.fit(X, Y, alpha_mode=0.1)
         loo = tuning.loo_deltas(gram, Dx, Dy, model.coefficients)
-        scores = models.idw_scores(loo, model.train_labels, 2.0, model.label_counts)
+        scores = models.idw_scores(models.log_distances(loo), model.label_weights, 2.0)
         assert (tuned.power, tuned.lrl_curve) == (2.0, ())
         assert tuned.threshold == tuning.cardinality_threshold(scores, Y)
 
