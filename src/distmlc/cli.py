@@ -6,8 +6,8 @@ Data outputs are identical bytes for identical inputs and flags on one
 numpy/scipy build, CPU and BLAS thread count; across thread counts floats
 agree within 1e-9, with the same power P, labels and uncertainty buckets.
 
-Dataset specs (data.load_dataset); a single file is read as CSV when its
-name ends in .csv and as ARFF otherwise:
+Dataset specs (data.load_dataset, data.load_features); a single file is
+read as CSV when its name ends in .csv and as ARFF otherwise:
   features.csv;labels.csv        CSV pair with header rows
   data.arff@labels.xml           one file with a Mulan XML label manifest
   data.arff                      one file with --labels-last L; evaluate takes
@@ -16,7 +16,8 @@ name ends in .csv and as ARFF otherwise:
 train, evaluate and benchmark read the whole spec. predict reads the
 features file of a CSV pair, or every column of a single file that is not
 one of the model's labels (an @labels.xml suffix is ignored), raw: a model
-trained with --scale minmax holds its scaler and scales every query. A
+trained with --scale minmax holds its scaler and scales every query. It
+refuses an input of another feature count than the model's, naming it. A
 header-only input predicts to an empty output. predict alone writes the
 per-row outputs and sets a fixed threshold; train stores the LOO cardinality
 threshold.
@@ -152,6 +153,10 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model, manifest = load_model(args.model)
     X = dataio.load_features(args.data, manifest["label_names"])
+    M = models.base_model(model).n_features
+    if X.shape[1] != M:
+        raise dataio.DataFormatError(
+            f"{args.data}: {X.shape[1]} feature columns, but the model takes {M}")
     write_predictions(predict_dataset(manifest["method"], model, X, args.threshold), args.out)
     return EXIT_OK
 

@@ -1,9 +1,12 @@
 """Dataset ingestion.
 
 read_table reads one file, as CSV (a header row) when its name ends in .csv
-and as Mulan-style ARFF (dense or sparse) otherwise. load_dataset builds a
-Dataset from a spec: a features.csv;labels.csv pair, or one file whose label
-columns a Mulan XML manifest names or that ends in labels_last label columns.
+and as Mulan-style ARFF (dense or sparse) otherwise. read_csv_rows is the one
+CSV reader, for datasets and stats tables alike. A dataset spec is a
+features.csv;labels.csv pair, or one file whose label columns a Mulan XML
+manifest names or that ends in labels_last label columns; this module alone
+parses one. load_dataset builds a Dataset from a spec, naming the spec when
+the Dataset is refused, and load_features reads only its feature columns.
 
 Rows are read in one float() pass: a dense ARFF data line split on commas,
 a sparse one into its 'index value' items, a CSV row as csv.reader frames
@@ -52,7 +55,7 @@ class Dataset:
         n, m = self.features.shape
         nl, l = self.labels.shape
         if n != nl:
-            raise DataFormatError("feature and label row counts differ")
+            raise DataFormatError(f"{n} feature rows but {nl} label rows")
         if n == 0 or m == 0 or l == 0:
             raise DataFormatError("empty dataset")
         if not np.all((self.labels == 0) | (self.labels == 1)):
@@ -263,41 +266,40 @@ def load_dataset(spec: str, labels_last: int | None = None) -> Dataset:
     'features.csv;labels.csv' is a pair of CSV files, whatever their names,
     and each is taken whole. Any other spec is one file (read_table), with
     its label columns named by a Mulan XML manifest ('data.arff@labels.xml')
-    or, without one, its last labels_last columns.
+    or, without one, its last labels_last columns. A Dataset refusal names
+    the spec.
     """
     if ";" in spec:
         feature_path, label_path = spec.split(";", 1)
         feature_names, X = read_csv_matrix(feature_path)
         label_names, Y = read_csv_matrix(label_path)
-        if X.shape[0] != Y.shape[0]:
-            raise DataFormatError(
-                f"row count mismatch: {X.shape[0]} feature rows vs {Y.shape[0]} label rows"
-            )
+    else:
+        path, manifest = spec.rsplit("@", 1) if "@" in spec else (spec, None)
+        if manifest is None and labels_last is None:
+            raise SpecError(
+                f"dataset {spec!r} needs a label manifest (@file.xml) or --labels-last")
+        names, values = read_table(path)
+        if manifest is not None:
+            label_names = read_label_manifest(manifest)
+            missing = [n for n in label_names if n not in names]
+            if missing:
+                raise DataFormatError(f"{path}: manifest labels missing from header: {missing}")
+            label_idx = [names.index(n) for n in label_names]
+        else:
+            if labels_last >= len(names):
+                raise DataFormatError(f"{path}: {labels_last} label columns leave no "
+                                      f"feature column in {len(names)} columns")
+            label_idx = list(range(len(names) - labels_last, len(names)))
+        label_set = set(label_idx)
+        feat_idx = [i for i in range(len(names)) if i not in label_set]
+        X, Y = values[:, feat_idx], values[:, label_idx]
+        feature_names = tuple(names[i] for i in feat_idx)
+        label_names = tuple(names[i] for i in label_idx)
+    try:
         return Dataset(features=X, labels=Y, feature_names=feature_names,
                        label_names=label_names)
-    path, manifest = spec.rsplit("@", 1) if "@" in spec else (spec, None)
-    if manifest is None and labels_last is None:
-        raise SpecError(
-            f"dataset {spec!r} needs a label manifest (@file.xml) or --labels-last")
-    names, values = read_table(path)
-    if manifest is not None:
-        label_names = read_label_manifest(manifest)
-        missing = [n for n in label_names if n not in names]
-        if missing:
-            raise DataFormatError(f"{path}: manifest labels missing from header: {missing}")
-        label_idx = [names.index(n) for n in label_names]
-    else:
-        if not 0 < labels_last < len(names):
-            raise DataFormatError(f"{path}: labels_last {labels_last} out of range")
-        label_idx = list(range(len(names) - labels_last, len(names)))
-    label_set = set(label_idx)
-    feat_idx = [i for i in range(len(names)) if i not in label_set]
-    return Dataset(
-        features=values[:, feat_idx],
-        labels=values[:, label_idx],
-        feature_names=tuple(names[i] for i in feat_idx),
-        label_names=tuple(names[i] for i in label_idx),
-    )
+    except DataFormatError as exc:
+        raise DataFormatError(f"{spec}: {exc}") from None
 
 
 def load_features(spec: str, label_names) -> np.ndarray:

@@ -14,8 +14,9 @@ from .data import DataFormatError, read_csv_rows
 LOWER_BETTER = "lower"
 HIGHER_BETTER = "higher"
 
-# studentized range quantiles / sqrt(2) at alpha = 0.05, k = 2..20
-_Q_005 = {
+ALPHA = 0.05  # the level of the Friedman test, the Nemenyi CD and the diagram groups
+# studentized range quantiles / sqrt(2) at ALPHA, k = 2..20
+_Q = {
     2: 1.9600, 3: 2.3437, 4: 2.5690, 5: 2.7278, 6: 2.8497,
     7: 2.9483, 8: 3.0309, 9: 3.1017, 10: 3.1637, 11: 3.2187,
     12: 3.2680, 13: 3.3127, 14: 3.3536, 15: 3.3912, 16: 3.4260,
@@ -75,27 +76,26 @@ def average_ranks(table: ResultTable) -> np.ndarray:
     return rankdata(vals, method="average", axis=1).mean(axis=0)
 
 
-def friedman_test(table: ResultTable, alpha: float = 0.05) -> tuple[float, bool]:
-    """Friedman chi-square statistic over the rank table and its alpha-level verdict."""
+def friedman_test(table: ResultTable) -> tuple[float, bool]:
+    """Friedman chi-square statistic over the rank table and its verdict at ALPHA."""
     from scipy.stats import chi2
     n, k = table.values.shape
     R = average_ranks(table) * n  # rank sums
     stat = 12.0 / (n * k * (k + 1)) * float((R**2).sum()) - 3.0 * n * (k + 1)
     stat = max(stat, 0.0)
-    critical = chi2.ppf(1.0 - alpha, df=k - 1)
+    critical = chi2.ppf(1.0 - ALPHA, df=k - 1)
     return stat, bool(stat > critical)
 
 
 def nemenyi_cd(k: int, n: int) -> float:
-    """Critical difference of average ranks at alpha = 0.05 for k methods over
-    n datasets."""
-    if k not in _Q_005:
+    """Critical difference of average ranks at ALPHA for k methods over n datasets."""
+    if k not in _Q:
         raise ValueError(f"k = {k} outside the embedded table range 2..20")
-    return _Q_005[k] * math.sqrt(k * (k + 1) / (6.0 * n))
+    return _Q[k] * math.sqrt(k * (k + 1) / (6.0 * n))
 
 
 def cd_diagram_data(table: ResultTable) -> dict:
-    """Average ranks, CD value, and non-significant groups at alpha = 0.05,
+    """Average ranks, CD value, and non-significant groups at ALPHA,
     JSON-serializable."""
     ranks = average_ranks(table)
     stat, reject = friedman_test(table)
@@ -108,7 +108,7 @@ def cd_diagram_data(table: ResultTable) -> dict:
     ends = np.count_nonzero(r[None, :] - r[:, None] <= cd, axis=1) - 1
     groups = [order[i : ends[i] + 1] for i in np.flatnonzero(np.diff(ends, prepend=-1))]
     return {
-        "alpha": 0.05,
+        "alpha": ALPHA,
         "friedman_statistic": stat,
         "friedman_reject": reject,
         "critical_difference": cd,

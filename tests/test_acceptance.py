@@ -374,7 +374,7 @@ class TestCriterion9:
             values=np.column_stack([cols[m] for m in methods]),
             direction=stats.LOWER_BETTER,
         )
-        stat, reject = stats.friedman_test(table, alpha=0.05)
+        stat, reject = stats.friedman_test(table)
         assert reject, f"Friedman statistic {stat} did not reject"
         diagram = stats.cd_diagram_data(table)
         assert significantly_different(diagram, "ML-MLM", "ML-kNN")

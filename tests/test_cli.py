@@ -594,6 +594,12 @@ class TestExitCodes:
                         ["stats", "{bad}", "--direction", "lower"], "{bad}: not UTF-8 text"),
         "predictions": ("bad.jsonl", b'{"scores": [0.5, 0.5, 0.5], "labels": [1, 0, 1]}\n\xff\n',
                         ["evaluate", "{bad}", "{test}"], "{bad}: not UTF-8 text"),
+        "label-2": ("bad.csv", b"a,y\n1,0\n2,2\n3,1\n", ["train", "{bad}", "--labels-last", "1"],
+                    "{bad}: label columns must be binary"),
+        "header-only": ("bad.csv", b"a,y\n", ["train", "{bad}", "--labels-last", "1"],
+                        "{bad}: empty dataset"),
+        "row-count": ("bad.csv", b"a\n1\n2\n3\n", ["train", "{bad};{labels}"],
+                      "{bad};{labels}: 3 feature rows but 2 label rows"),
     }
 
     @pytest.mark.parametrize("case", list(UNREADABLE))
@@ -671,6 +677,18 @@ class TestExitCodes:
         cli.main(["train", train, "--alpha", "0.1", "--out", str(model)])
         assert cli.main(["predict", str(model), str(tmp_path), "--out", str(out)]) == 2
         assert str(tmp_path) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_data_error_predict_input_of_other_width_names_it(self, tmp_path, toy_specs,
+                                                              capsys, width):
+        train, _ = toy_specs
+        model, te, out = tmp_path / "m.dmlm", tmp_path / "te.csv", tmp_path / "p.jsonl"
+        cli.main(["train", train, "--alpha", "0.1", "--out", str(model)])
+        te.write_text(",".join(f"f{j}" for j in range(width)) + "\n" + "0.5," * (width - 1) + "1\n")
+        assert cli.main(["predict", str(model), str(te), "--out", str(out)]) == 2
+        assert (f"data error: {te}: {width} feature columns, but the model takes 3"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_data_error_unknown_method_in_model(self, tmp_path, toy_specs, capsys):

@@ -137,7 +137,8 @@ class TestParseArff:
 
     @pytest.mark.parametrize("labels_last", [4, 5])
     def test_labels_last_leaving_no_feature_refused(self, dense_file, labels_last):
-        message = f"{dense_file}: labels_last {labels_last} out of range"
+        message = (f"{dense_file}: {labels_last} label columns leave no feature column "
+                   "in 4 columns")
         with pytest.raises(dataio.DataFormatError, match="^" + re.escape(message) + "$"):
             dataio.load_dataset(str(dense_file), labels_last=labels_last)
 
