@@ -17,8 +17,10 @@ train, evaluate and benchmark read the whole spec. predict reads the
 features file of a CSV pair, or every column of a single file that is not
 one of the model's labels (an @labels.xml suffix is ignored), raw: a model
 trained with --scale minmax holds its scaler and scales every query. It
-refuses an input of another feature count than the model's, naming it. A
-header-only input predicts to an empty output. predict alone writes the
+refuses an input of another feature count than the model's, naming it, and
+one whose feature names or their order differ from the training data's,
+naming the first column that differs. A header-only input predicts to an
+empty output. predict alone writes the
 per-row outputs and sets a fixed threshold; train stores the LOO cardinality
 threshold.
 
@@ -65,7 +67,7 @@ def fit_method(method, ds, alpha="auto", power=None, scale=False):
     train = method_functions(method)[0]
     extra = {} if power is None else {"power_mode": power}
     return train(ds.features, ds.labels, alpha_mode=alpha, label_names=ds.label_names,
-                 scale=scale, **extra)
+                 feature_names=ds.feature_names, scale=scale, **extra)
 
 
 # Rows per predict_dataset chunk: this budget over the bytes of one row's K input
@@ -115,6 +117,8 @@ def read_predictions(path):
                     raise dataio.DataFormatError(
                         f"{path} line {n}: not a prediction record "
                         f"({type(exc).__name__}: {exc})") from None
+                if s.size == 0:
+                    raise dataio.DataFormatError(f"{path} line {n}: no scores")
                 if not scores:
                     first, width = n, s.size
                 for field, size in (("scores", s.size), ("labels", y.size)):
@@ -152,11 +156,15 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model, manifest = load_model(args.model)
-    X = dataio.load_features(args.data, manifest["label_names"])
-    M = models.base_model(model).n_features
-    if X.shape[1] != M:
+    names, X = dataio.load_features(args.data, manifest["label_names"])
+    base = models.base_model(model)
+    if X.shape[1] != base.n_features:
         raise dataio.DataFormatError(
-            f"{args.data}: {X.shape[1]} feature columns, but the model takes {M}")
+            f"{args.data}: {X.shape[1]} feature columns, but the model takes {base.n_features}")
+    if base.feature_names and names != base.feature_names:
+        i = next(i for i, (a, b) in enumerate(zip(names, base.feature_names)) if a != b)
+        raise dataio.DataFormatError(f"{args.data}: feature column {i + 1} is {names[i]!r}, "
+                                     f"but the model's is {base.feature_names[i]!r}")
     write_predictions(predict_dataset(manifest["method"], model, X, args.threshold), args.out)
     return EXIT_OK
 

@@ -6,7 +6,8 @@ CSV reader, for datasets and stats tables alike. A dataset spec is a
 features.csv;labels.csv pair, or one file whose label columns a Mulan XML
 manifest names or that ends in labels_last label columns; this module alone
 parses one. load_dataset builds a Dataset from a spec, naming the spec when
-the Dataset is refused, and load_features reads only its feature columns.
+the Dataset is refused, and load_features reads only its feature columns and
+their names.
 
 Rows are read in one float() pass: a dense ARFF data line split on commas,
 a sparse one into its 'index value' items, a CSV row as csv.reader frames
@@ -302,12 +303,14 @@ def load_dataset(spec: str, labels_last: int | None = None) -> Dataset:
         raise DataFormatError(f"{spec}: {exc}") from None
 
 
-def load_features(spec: str, label_names) -> np.ndarray:
-    """The feature columns of a dataset spec, unscaled: the features file of a
-    CSV pair, whole, or every column of a single file that label_names does not
-    name (an @labels.xml suffix is not read)."""
+def load_features(spec: str, label_names) -> tuple[tuple[str, ...], np.ndarray]:
+    """The names and the values of the feature columns of a dataset spec,
+    unscaled: the features file of a CSV pair, whole, or every column of a
+    single file that label_names does not name (an @labels.xml suffix is not
+    read)."""
     if ";" in spec:
-        return read_csv_matrix(spec.split(";", 1)[0])[1]
+        return read_csv_matrix(spec.split(";", 1)[0])
     names, values = read_table(spec.rsplit("@", 1)[0])
     labels = set(label_names)
-    return values[:, [i for i, name in enumerate(names) if name not in labels]]
+    keep = [i for i, name in enumerate(names) if name not in labels]
+    return tuple(names[i] for i in keep), values[:, keep]

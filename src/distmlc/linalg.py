@@ -40,11 +40,16 @@ def pairwise_distances(A, B) -> np.ndarray:
     return euclidean(A, B, integer_norms(B))
 
 
+def integer_valued(a: np.ndarray) -> bool:
+    """Whether every entry of a float64 array is an integer (NaN is not)."""
+    return np.array_equal(a, np.rint(a))
+
+
 def integer_norms(A: np.ndarray) -> tuple[np.ndarray, float] | None:
     """The squared row norms and the largest |entry| of a finite float64 matrix
     whose entries are all integers; None if any entry is not."""
     v = A[A != 0.0]
-    if not np.array_equal(v, np.rint(v)):
+    if not integer_valued(v):
         return None
     return np.einsum("ij,ij->i", A, A), float(np.abs(v).max(initial=0.0))
 

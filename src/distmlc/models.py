@@ -21,7 +21,8 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial.distance import squareform
 
-from .linalg import SingularSystemError, euclidean, fit_ridge, integer_norms, pairwise_distances
+from .linalg import (SingularSystemError, euclidean, fit_ridge, integer_norms, integer_valued,
+                     pairwise_distances)
 from .metrics import as_binary
 
 SQRT2 = float(np.sqrt(2.0))
@@ -37,6 +38,7 @@ class DistanceModel:
 
     references: K x M unique training inputs, in first-seen order; they
         must be finite, so that queries need only their own rows checked.
+        Training and modelio.load_model lay them out in reference_order.
     coefficients: K x U map from input-distance profiles to label-space
         distance estimates against the U unique training label vectors.
     train_labels: U x L binary matrix of the unique training label
@@ -46,7 +48,8 @@ class DistanceModel:
     scale: None, or the 2 x M min-max scaler (minima, spans > 0) that scaled
         the training features, and that scales every query before its distances.
     Building one, by training, by modelio.load_model or by hand, checks all of
-    this, alpha (finite, >= 0) and label_names (empty or L strings).
+    this, alpha (finite, >= 0), label_names (empty or L strings) and
+    feature_names (empty or M strings).
     """
 
     references: np.ndarray
@@ -56,11 +59,12 @@ class DistanceModel:
     label_counts: np.ndarray
     label_names: tuple[str, ...] = ()
     scale: np.ndarray | None = None
+    feature_names: tuple[str, ...] = ()
 
     def __post_init__(self):
         if np.ndim(self.references) != 2 or np.ndim(self.train_labels) != 2:
             raise ValueError("references and train_labels must be matrices")
-        if not np.all(np.isfinite(self.references)):
+        if not _all_finite(self.references):
             raise ValueError("references contain non-finite values")
         as_binary(self.train_labels, "train_labels")
         (K, M), (U, L) = np.shape(self.references), np.shape(self.train_labels)
@@ -73,10 +77,11 @@ class DistanceModel:
         if c.shape != (U,) or not np.all(np.isfinite(c) & (c >= 1.0) & (c == np.round(c))):
             raise ValueError(f"label_counts must be {U} positive whole numbers")
         _check_number(self.alpha, "alpha", "a finite number >= 0", lambda v: v >= 0)
-        names = self.label_names
-        if not (isinstance(names, tuple) and len(names) in (0, L)
-                and all(isinstance(name, str) for name in names)):
-            raise ValueError(f"label_names must be empty or {L} strings, got {names!r}")
+        for field, names, n in (("label_names", self.label_names, L),
+                                ("feature_names", self.feature_names, M)):
+            if not (isinstance(names, tuple) and len(names) in (0, n)
+                    and all(isinstance(name, str) for name in names)):
+                raise ValueError(f"{field} must be empty or {n} strings, got {names!r}")
 
     @property
     def n_features(self) -> int:
@@ -153,10 +158,16 @@ class Prediction:
     uncertainty: str | np.ndarray
 
 
+def _all_finite(a) -> bool:
+    """np.all(np.isfinite(a)) without a boolean array of a's size: a NaN
+    propagates to the min and the max, and an infinity is one of them."""
+    return bool(np.isfinite(np.min(a, initial=0.0)) and np.isfinite(np.max(a, initial=0.0)))
+
+
 def _check_array(a, name: str, shape: tuple, dims: str) -> None:
     if np.shape(a) != shape:
         raise ValueError(f"{name} are {np.shape(a)}, expected {shape} ({dims})")
-    if not np.all(np.isfinite(a)):
+    if not _all_finite(a):
         raise ValueError(f"{name} holds non-finite values")
 
 
@@ -187,6 +198,15 @@ def auto_alpha(distances) -> float:
     return float(pair_dists[k])
 
 
+def reference_order(entries: np.ndarray) -> str:
+    """The memory order of a model's references, given them or only their
+    nonzero entries: "F" (column-major) when every entry is an integer, since
+    queries then take the exact kernel (linalg.euclidean), which gathers the
+    references' columns; "C" (row-major) otherwise, since cdist copies any
+    other layout. fit and modelio.load_model both lay references out so."""
+    return "F" if integer_valued(entries) else "C"
+
+
 def first_seen(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the unique rows of A (exact float equality) in first-seen
     order, and how many rows of A equal each of them."""
@@ -195,11 +215,12 @@ def first_seen(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return idx[order], counts[order]
 
 
-def fit(X, Y, alpha_mode="auto", label_names=(), scale=False):
+def fit(X, Y, alpha_mode="auto", label_names=(), scale=False, feature_names=()):
     """Fit the distance-regression map on inputs X (N x M), labels Y (N x L).
 
     alpha_mode is "auto" (pairwise-distance quantile heuristic) or a
-    fixed non-negative float. With scale, X first maps to [0, 1] as
+    fixed non-negative float. The model keeps label_names and feature_names
+    (each empty, or one name per column). With scale, X first maps to [0, 1] as
     (X - min) / span (span 1 for a constant column), and the model keeps that
     scaler. The output distances are taken to the U unique label vectors
     only: Dy is N x U. Returns (model, Dx, Dy, gram) so that the leave-one-out
@@ -216,7 +237,10 @@ def fit(X, Y, alpha_mode="auto", label_names=(), scale=False):
         bounds = np.stack([lo, np.where(hi > lo, hi - lo, 1.0)])
         X = (X - bounds[0]) / bounds[1]
     ref_idx, _ = first_seen(X)
-    references = X[ref_idx]
+    # one copy, straight into reference_order, which X's entries decide: each
+    # row of X is a reference ("clip" writes into out unbuffered; ref_idx is in range)
+    references = np.empty((ref_idx.size, X.shape[1]), order=reference_order(X))
+    np.take(X, ref_idx, axis=0, out=references, mode="clip")
     if references.shape[0] < 2:
         raise ValueError("need at least 2 unique training inputs")
     Dx = pairwise_distances(X, references)
@@ -238,16 +262,20 @@ def fit(X, Y, alpha_mode="auto", label_names=(), scale=False):
         label_names=tuple(label_names),
         label_counts=counts.astype(np.float64),
         scale=bounds,
+        feature_names=tuple(feature_names),
     )
     return model, Dx, Dy, gram
 
 
-def train(X, Y, alpha_mode="auto", label_names=(), scale=False) -> DistanceModel:
-    """The model of fit(X, Y, alpha_mode, label_names, scale)."""
-    return fit(X, Y, alpha_mode=alpha_mode, label_names=label_names, scale=scale)[0]
+def train(X, Y, alpha_mode="auto", label_names=(), scale=False,
+          feature_names=()) -> DistanceModel:
+    """The model of fit(X, Y, alpha_mode, label_names, scale, feature_names)."""
+    return fit(X, Y, alpha_mode=alpha_mode, label_names=label_names, scale=scale,
+               feature_names=feature_names)[0]
 
 
-def train_br(X, Y, alpha_mode="auto", label_names=(), scale=False) -> BrMlmModel:
+def train_br(X, Y, alpha_mode="auto", label_names=(), scale=False,
+             feature_names=()) -> BrMlmModel:
     """Fit the binary-relevance variant: one scalar output-distance map per label.
 
     The Gram factorization of the input distances is shared across labels.
@@ -255,7 +283,8 @@ def train_br(X, Y, alpha_mode="auto", label_names=(), scale=False) -> BrMlmModel
     t is |Y[n, l] - t|: Y[:, l] for t = 0 and 1 - Y[:, l] for t = 1, so
     one product gives every label's two maps.
     """
-    base, Dx, _, gram = fit(X, Y, alpha_mode=alpha_mode, label_names=label_names, scale=scale)
+    base, Dx, _, gram = fit(X, Y, alpha_mode=alpha_mode, label_names=label_names, scale=scale,
+                            feature_names=feature_names)
     if gram is None:
         raise SingularSystemError("U = Dx^T Dx + alpha*I is not positive definite")
     Y = np.asarray(Y, dtype=np.float64)  # fit checked it

@@ -82,7 +82,7 @@ def cardinality_threshold(loo_scores, Y) -> float:
 
 
 def tune_ml_mlm(X, Y, alpha_mode="auto", power_mode="tuned", label_names=(),
-                scale=False) -> _models.TunedMlMlm:
+                scale=False, feature_names=()) -> _models.TunedMlMlm:
     """Train the distance model and pick power and threshold in one LOO pass.
 
     power_mode is "tuned" or a fixed positive float; the threshold is the
@@ -99,7 +99,7 @@ def tune_ml_mlm(X, Y, alpha_mode="auto", power_mode="tuned", label_names=(),
             f"irrelevant label (L = {Y.shape[-1]}), so the leave-one-out ranking "
             "loss has nothing to rank; give a fixed power (--power) instead")
     model, Dx, Dy, gram = _models.fit(X, Y, alpha_mode=alpha_mode, label_names=label_names,
-                                      scale=scale)
+                                      scale=scale, feature_names=feature_names)
     if gram is None:
         raise SingularSystemError("U = Dx^T Dx + alpha*I is not positive definite")
     loo = loo_deltas(gram, Dx, Dy, model.coefficients)

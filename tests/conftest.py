@@ -141,13 +141,23 @@ def loo_from_fit(Dx, Dy, alpha):
 
 
 def rewrite(path, edit) -> None:
-    """Rewrite a saved model file after edit(manifest, arrays) changed them in place."""
+    """Rewrite a saved model file after edit(manifest, arrays) changed them in place.
+    arrays holds every blob by name, shaped as "dimensions" says; CSR references
+    are their three 1-D blobs (references_indptr, _indices and _values), and
+    "dimensions" keeps their K x M shape."""
     with zipfile.ZipFile(path) as zf:
         manifest = json.loads(zf.read("manifest.json"))
-        arrays = {name: np.frombuffer(zf.read(name + ".f64"), dtype="<f8").reshape(shape).copy()
-                  for name, shape in manifest["dimensions"].items()}
+        dims = manifest["dimensions"]
+        arrays = {}
+        for member in zf.namelist():
+            if member.endswith(".f64"):
+                name = member.removesuffix(".f64")
+                a = np.frombuffer(zf.read(member), dtype="<f8")
+                arrays[name] = (a.reshape(dims[name]) if name in dims else a).copy()
     edit(manifest, arrays)
-    manifest["dimensions"] = {name: list(a.shape) for name, a in arrays.items()}
+    manifest["dimensions"] = {"references": manifest["dimensions"]["references"],
+                              **{name: list(a.shape) for name, a in arrays.items()
+                                 if not name.startswith("references_")}}
     with zipfile.ZipFile(path, "w") as zf:
         zf.writestr("manifest.json", json.dumps(manifest))
         for name, a in arrays.items():

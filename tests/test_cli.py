@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from distmlc import cli, modelio
+from distmlc import cli, modelio, models
+from distmlc import data as dataio
 
 from conftest import random_problem, rewrite, rewrite_manifest
 
@@ -600,6 +601,11 @@ class TestExitCodes:
                         "{bad}: empty dataset"),
         "row-count": ("bad.csv", b"a\n1\n2\n3\n", ["train", "{bad};{labels}"],
                       "{bad};{labels}: 3 feature rows but 2 label rows"),
+        # records of no scores leave no label column to read from the truth file
+        "empty-record": ("bad.jsonl", b'{"scores": [], "labels": []}\n' * 2,
+                         ["evaluate", "{bad}", "{labels}"], "{bad} line 1: no scores"),
+        "empty-record-pair": ("bad.jsonl", b'\n{"scores": [], "labels": []}\n' * 2,
+                              ["evaluate", "{bad}", "{test}"], "{bad} line 2: no scores"),
     }
 
     @pytest.mark.parametrize("case", list(UNREADABLE))
@@ -690,6 +696,30 @@ class TestExitCodes:
         assert (f"data error: {te}: {width} feature columns, but the model takes 3"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("header, message", [
+        ("f0,x,f2", "feature column 2 is 'x', but the model's is 'f1'"),
+        ("f0,f2,f1", "feature column 2 is 'f2', but the model's is 'f1'"),
+        ("F0,f1,f2", "feature column 1 is 'F0', but the model's is 'f0'"),
+    ], ids=["renamed", "reordered", "case"])
+    def test_data_error_predict_input_of_other_names_names_the_column(
+            self, tmp_path, toy_specs, capsys, header, message):
+        train, _ = toy_specs
+        model, te, out = tmp_path / "m.dmlm", tmp_path / "te.csv", tmp_path / "p.jsonl"
+        cli.main(["train", train, "--alpha", "0.1", "--out", str(model)])
+        te.write_text(header + "\n0.5,0.5,1\n")
+        assert cli.main(["predict", str(model), str(te), "--out", str(out)]) == 2
+        assert f"data error: {te}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_model_without_feature_names_checks_the_width_only(self, tmp_path, toy_specs):
+        train, _ = toy_specs
+        ds = dataio.load_dataset(train)
+        model, te, out = tmp_path / "m.dmlm", tmp_path / "te.csv", tmp_path / "p.jsonl"
+        modelio.save_model(model, models.train(ds.features, ds.labels, alpha_mode=0.1), "nn-mlm")
+        te.write_text("a,b,c\n0.5,0.5,1\n")
+        assert cli.main(["predict", str(model), str(te), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1
 
     def test_data_error_unknown_method_in_model(self, tmp_path, toy_specs, capsys):
         train, test = toy_specs

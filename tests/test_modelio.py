@@ -1,4 +1,5 @@
 import json
+import re
 import zipfile
 
 import numpy as np
@@ -13,6 +14,14 @@ from conftest import random_problem, rewrite, rewrite_manifest
 def problem():
     rng = np.random.default_rng(101)
     return random_problem(rng, n=15, m=3, l=3)
+
+
+def sparse_problem(rng, integer: bool, n=15, m=20, l=3):
+    """random_problem's labels with 15 % of m features nonzero: small integers,
+    or normal floats."""
+    _, Y = random_problem(rng, n=n, m=3, l=l)
+    values = rng.integers(1, 4, size=(n, m)) if integer else rng.normal(size=(n, m))
+    return np.where(rng.random((n, m)) < 0.15, values, 0.0), Y
 
 
 class TestRoundTrip:
@@ -60,17 +69,51 @@ class TestRoundTrip:
 
 @pytest.mark.parametrize("method", modelio.METHODS)
 def test_every_method_predicts_the_same_after_save_and_load(problem, tmp_path, method):
-    X, Y = problem
+    rng = np.random.default_rng(104)
+    # each problem, with the references' layout on disk and their memory order
+    for X, Y, layout, order in [(*sparse_problem(rng, integer=True), "csr", "F"),
+                                (*sparse_problem(rng, integer=False), "csr", "C"),
+                                (*problem, "dense", "C")]:
+        check_save_and_load(method, X, Y, layout, order, tmp_path / f"{layout}-{order}.dmlm")
+
+
+def check_save_and_load(method, X, Y, layout, order, p):
     train, predict = modelio.method_functions(method)
-    model = train(X, Y, alpha_mode=0.1, label_names=("a", "b", "c"))
-    p = tmp_path / "m.dmlm"
+    names = tuple(f"x{j}" for j in range(X.shape[1]))
+    model = train(X, Y, alpha_mode=0.1, label_names=("a", "b", "c"), feature_names=names)
     modelio.save_model(p, model, method)
     loaded, manifest = modelio.load_model(p)
     assert manifest["method"] == method
+    assert manifest["references_layout"] == layout
+    trained, back = models.base_model(model), models.base_model(loaded)
+    assert back.feature_names == names
+    refs = trained.references
+    assert np.array_equal(back.references, refs)
+    flag = {"F": "F_CONTIGUOUS", "C": "C_CONTIGUOUS"}[order]
+    assert refs.flags[flag] and back.references.flags[flag]
+    assert not refs.flags.c_contiguous or not refs.flags.f_contiguous  # K, M > 1
+    assert not back.references.flags.writeable
+    with zipfile.ZipFile(p) as zf:
+        if layout == "dense":  # the row-major bytes of format 4
+            assert zf.read("references.f64") == np.ascontiguousarray(refs, "<f8").tobytes()
+        else:
+            assert "references.f64" not in zf.namelist()
+            assert {"references_indptr.f64", "references_indices.f64",
+                    "references_values.f64"} <= set(zf.namelist())
     for x in (X, X[0]):
         a, b = predict(model, x), predict(loaded, x)
         for field in ("scores", "labels", "min_distance", "uncertainty"):
             assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+def test_sparse_model_file_is_smaller_than_its_dense_references(tmp_path):
+    X, Y = sparse_problem(np.random.default_rng(105), integer=True, n=40, m=60)
+    model = models.train_br(X, Y, alpha_mode=0.1)
+    p = tmp_path / "m.dmlm"
+    modelio.save_model(p, model, "br-mlm")
+    assert p.stat().st_size < model.base.references.nbytes
+    loaded, _ = modelio.load_model(p)
+    assert np.array_equal(loaded.base.references, X[models.first_seen(X)[0]])
 
 
 def test_ml_mlm_fixed_threshold_keeps_scores(problem):
@@ -171,12 +214,21 @@ class TestValidation:
         modelio.save_model(p, tuning.tune_ml_mlm(X, Y, alpha_mode=0.1), "ml-mlm")
         return p
 
+    @pytest.fixture
+    def saved_csr(self, tmp_path):
+        X, Y = sparse_problem(np.random.default_rng(106), integer=True)
+        p = tmp_path / "csr.dmlm"
+        modelio.save_model(p, models.train(X, Y, alpha_mode=0.1), "nn-mlm")
+        return p
+
     def assert_refused(self, path, edit, match):
         modelio.load_model(path)  # the unedited file loads
         rewrite(path, edit)
-        with pytest.raises(modelio.ModelFileError, match=match) as err:
+        with pytest.raises(modelio.ModelFileError) as err:
             modelio.load_model(path)
         assert str(path) in str(err.value)
+        # the path holds the test's name, so match the message without it
+        assert re.search(match, str(err.value).replace(str(path), "PATH")), str(err.value)
 
     def test_coefficients_not_k_by_u(self, saved):
         def edit(manifest, arrays):
@@ -225,6 +277,11 @@ class TestValidation:
             arrays[blob].flat[3] = np.nan
         self.assert_refused(saved, edit, "non-finite")
 
+    def test_negative_infinity_in_references(self, saved):
+        def edit(manifest, arrays):
+            arrays["references"][0, 0] = -np.inf
+        self.assert_refused(saved, edit, "references contain non-finite values")
+
     @pytest.mark.parametrize("scale, match", [
         ({"min": [0.0, 0.0], "span": [1.0, 1.0]}, "scale"),  # M = 3 features
         ({"min": [0.0, float("nan"), 0.0], "span": [1.0, 1.0, 1.0]}, "scale"),
@@ -240,17 +297,70 @@ class TestValidation:
             manifest["scale"] = scale
         self.assert_refused(saved, edit, match)
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_unknown_references_layout(self, saved_csr):
+        def edit(manifest, arrays):
+            manifest["references_layout"] = "coo"
+        self.assert_refused(saved_csr, edit, "unknown references_layout 'coo'")
+
+    @pytest.mark.parametrize("blob, cut", [("indptr", 1), ("indices", 1), ("values", 1),
+                                           ("indices", -1)])
+    def test_csr_blob_of_the_wrong_length(self, saved_csr, blob, cut):
+        def edit(manifest, arrays):
+            a = arrays["references_" + blob]
+            arrays["references_" + blob] = a[:-cut] if cut > 0 else np.append(a, 0.0)
+        self.assert_refused(saved_csr, edit, "references CSR blobs hold")
+
+    @pytest.mark.parametrize("fault", ["start", "decrease", "end", "fraction", "nan"])
+    def test_csr_indptr_not_rising_from_0_to_nnz(self, saved_csr, fault):
+        def edit(manifest, arrays):
+            indptr = arrays["references_indptr"]
+            if fault == "start":
+                indptr[0] = 1
+            elif fault == "decrease":  # row 1 ends before it starts
+                indptr[1] = indptr[2] + 1
+            elif fault == "end":
+                indptr[-1] -= 1
+            else:
+                indptr[1] += 0.5 if fault == "fraction" else np.nan
+        self.assert_refused(saved_csr, edit, "references_indptr must be whole numbers rising")
+
+    @pytest.mark.parametrize("bad", [0.5, -1.0, 20.0, np.nan], ids=["fraction", "negative",
+                                                                     "M", "NaN"])
+    def test_csr_index_not_a_column(self, saved_csr, bad):
+        def edit(manifest, arrays):
+            arrays["references_indices"][-1] = bad  # M = 20 columns
+        self.assert_refused(saved_csr, edit, r"references_indices must be whole numbers in \[0, 20\)")
+
+    def test_csr_shape_too_large_to_allocate(self, saved_csr):
+        def edit(manifest, arrays):
+            manifest["dimensions"]["references"][1] = 10**15  # 8 PB a row: fails at once
+        self.assert_refused(saved_csr, edit, "Unable to allocate")
+
+    @pytest.mark.parametrize("fault", ["repeat", "swap"])
+    def test_csr_indices_not_increasing_in_a_row(self, saved_csr, fault):
+        def edit(manifest, arrays):
+            indptr, indices = arrays["references_indptr"], arrays["references_indices"]
+            k = int(np.flatnonzero(np.diff(indptr) >= 2)[0])  # a row of two nonzeros or more
+            a = int(indptr[k])
+            if fault == "repeat":
+                indices[a + 1] = indices[a]
+            else:
+                indices[a], indices[a + 1] = indices[a + 1], indices[a]
+        self.assert_refused(saved_csr, edit, "references_indices must increase within each row")
+
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_format_1_asks_to_retrain(self, saved, version):
         def edit(manifest, arrays):
             manifest["format_version"] = version
-            del manifest["scale"]  # stored since format 4
+            del manifest["references_layout"], manifest["feature_names"]  # since format 5
+            if version < 4:
+                del manifest["scale"]  # stored since format 4
             if version == 1:  # all N label vectors, no label_counts
                 del arrays["label_counts"]
             elif version == 2:  # an L x K x U br-mlm stack
                 (K, U), L = arrays["coefficients"].shape, arrays["train_labels"].shape[1]
                 arrays["label_coefficients"] = np.zeros((L, K, U))
-        self.assert_refused(saved, edit, "retrain")
+        self.assert_refused(saved, edit, "retrain the model to write format 5")
 
     # a JSON true or false is a bool, which Python counts as the int 1 or 0
     @pytest.mark.parametrize("value", [None, "x", float("nan"), float("inf"), True, False],
@@ -286,6 +396,12 @@ class TestValidation:
         def edit(manifest, arrays):
             manifest["label_names"] = names
         self.assert_refused(saved, edit, "label_names must be empty or 3 strings")
+
+    @pytest.mark.parametrize("names", [5, "abc", ["x"], ["a", "b", 3]])
+    def test_bad_feature_names(self, saved, names):
+        def edit(manifest, arrays):
+            manifest["feature_names"] = names
+        self.assert_refused(saved, edit, "feature_names must be empty or 3 strings")
 
 
 class TestSaveRefusesAWrongRecord:
