@@ -229,25 +229,20 @@ def cmd_benchmark(args) -> int:
                 fh.write(report.to_json())
         rows.append(per_method)
 
-    metric_names = metricsmod.EvalReport.field_names()
-    with open(out_dir / "reports.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["dataset", "method", *metric_names])
-        for name, per_method in zip(names, rows):
-            for method in methods:
-                rep = per_method[method]
-                w.writerow(
-                    [name, method, *[repr(getattr(rep, f)) for f in metric_names]]
-                )
-    for metric in metric_names:
-        with open(out_dir / f"table_{metric}.csv", "w", newline="",
-                  encoding="utf-8") as fh:
+    def write_table(filename, header, cells):
+        with open(out_dir / filename, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
-            w.writerow(["dataset", *methods])
-            for name, per_method in zip(names, rows):
-                w.writerow(
-                    [name, *[repr(getattr(per_method[m], metric)) for m in methods]]
-                )
+            w.writerow(header)
+            w.writerows(cells)
+
+    metric_names = metricsmod.EvalReport.field_names()
+    write_table("reports.csv", ["dataset", "method", *metric_names],
+                ([name, method, *[repr(getattr(per_method[method], f)) for f in metric_names]]
+                 for name, per_method in zip(names, rows) for method in methods))
+    for metric in metric_names:
+        write_table(f"table_{metric}.csv", ["dataset", *methods],
+                    ([name, *[repr(getattr(per_method[m], metric)) for m in methods]]
+                     for name, per_method in zip(names, rows)))
     return EXIT_OK
 
 

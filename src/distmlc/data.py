@@ -12,8 +12,8 @@ their names.
 Rows are read in one float() pass: a dense ARFF data line split on commas,
 a sparse one into its 'index value' items, a CSV row as csv.reader frames
 it. Only a row that pass refuses goes through the per-token parser
-(_split_dense_row or the sparse item loop, then _parse_value): a token
-float() rejects (any quote, '?', an empty token), a wrong token count, a
+(csv.reader on a dense line or the sparse item loop, then _parse_value): a
+token float() rejects (any quote, '?', an empty token), a wrong token count, a
 sparse item that is not an index and one value, sparse indices that are not
 strictly increasing below the attribute count, or a value that is not
 finite. That parser is the only one that reads quoted tokens or words an
@@ -104,10 +104,6 @@ def _parse_attribute(line: str) -> str:
             return name
         raise DataFormatError(f"nominal attribute '{name}' is not binary {{0,1}}")
     raise DataFormatError(f"unsupported attribute type '{kind}'")
-
-
-def _split_dense_row(line: str) -> list[str]:
-    return next(csv.reader([line], skipinitialspace=True))
 
 
 def _parse_value(tok: str) -> float:
@@ -202,7 +198,7 @@ def read_arff(path) -> tuple[tuple[str, ...], np.ndarray]:
                 else:
                     values = _plain_floats(line.split(","))
                     if values is None or len(values) != n_attrs:
-                        toks = _split_dense_row(line)
+                        toks = next(csv.reader([line], skipinitialspace=True))
                         if len(toks) != n_attrs:
                             raise DataFormatError(
                                 f"expected {n_attrs} values, got {len(toks)}")

@@ -83,14 +83,14 @@ def euclidean(A: np.ndarray, B: np.ndarray,
 
 
 class RegularizedGram:
-    """Cholesky factorization of U = Dx^T Dx + alpha*I.
+    """Cholesky factorization of U = Dx^T Dx + alpha*I, for a float64 matrix
+    Dx that the caller has checked (models.fit's comes from pairwise_distances).
 
     Raises SingularSystemError if U is not positive definite after the
-    alpha shift.
+    alpha shift; cho_factor refuses a non-finite U with a ValueError.
     """
 
-    def __init__(self, Dx, alpha: float):
-        Dx = _as_matrix(Dx, "Dx")
+    def __init__(self, Dx: np.ndarray, alpha: float):
         if alpha < 0:
             raise ValueError("alpha must be non-negative")
         U = Dx.T @ Dx
@@ -109,17 +109,14 @@ class RegularizedGram:
 
 
 def fit_ridge(Dx, Dy, alpha: float) -> tuple[RegularizedGram | None, np.ndarray]:
-    """Minimize ||Dx B - Dy||_F^2 + alpha * ||B||_F^2 for B (K x C).
+    """Minimize ||Dx B - Dy||_F^2 + alpha * ||B||_F^2 for B (K x C), given
+    float64 matrices as RegularizedGram takes them; Dx^T Dy refuses a row mismatch.
 
     Returns the factorization it solved with and B, so that callers can
     reuse the one factorization. Falls back to a rank-revealing SVD
     least-squares solve, and returns None for the factorization, when the
     Gram matrix is numerically indefinite (possible only for alpha == 0).
     """
-    Dx = _as_matrix(Dx, "Dx")
-    Dy = _as_matrix(Dy, "Dy")
-    if Dx.shape[0] != Dy.shape[0]:
-        raise ValueError("Dx and Dy must have the same number of rows")
     try:
         gram = RegularizedGram(Dx, alpha)
         return gram, gram.solve(Dx.T @ Dy)
@@ -134,5 +131,4 @@ def fit_ridge(Dx, Dy, alpha: float) -> tuple[RegularizedGram | None, np.ndarray]
 
 def leverages(gram: RegularizedGram, Dx) -> np.ndarray:
     """Diagonal of H = Dx U^{-1} Dx^T, length N."""
-    Dx = _as_matrix(Dx, "Dx")
     return np.einsum("ij,ji->i", Dx, gram.solve(Dx.T))

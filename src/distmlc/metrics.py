@@ -28,12 +28,9 @@ class EvalReport:
     one_error: float
     average_precision: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def to_json(self) -> str:
         """The text of a report file: one JSON object and a newline."""
-        return json.dumps(self.to_dict(), sort_keys=False) + "\n"
+        return json.dumps(asdict(self), sort_keys=False) + "\n"
 
     @classmethod
     def field_names(cls) -> list[str]:

@@ -208,11 +208,12 @@ def reference_order(entries: np.ndarray) -> str:
 
 
 def first_seen(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the unique rows of A (exact float equality) in first-seen
-    order, and how many rows of A equal each of them."""
-    _, idx, counts = np.unique(A, axis=0, return_index=True, return_counts=True)
-    order = np.argsort(idx)
-    return idx[order], counts[order]
+    """Indices of the unique rows of a finite A (exact float equality) in
+    first-seen order, and how many rows of A equal each of them."""
+    seen = {}  # a row's bytes -> [its first index, its count], in first-seen order
+    for i, row in enumerate(A + 0.0):  # + 0.0 makes -0.0 the 0.0 that it equals
+        seen.setdefault(row.tobytes(), [i, 0])[1] += 1
+    return tuple(np.array(list(seen.values()), dtype=np.intp).reshape(-1, 2).T)
 
 
 def fit(X, Y, alpha_mode="auto", label_names=(), scale=False, feature_names=()):
@@ -241,9 +242,9 @@ def fit(X, Y, alpha_mode="auto", label_names=(), scale=False, feature_names=()):
     # row of X is a reference ("clip" writes into out unbuffered; ref_idx is in range)
     references = np.empty((ref_idx.size, X.shape[1]), order=reference_order(X))
     np.take(X, ref_idx, axis=0, out=references, mode="clip")
+    Dx = pairwise_distances(X, references)  # first, as it refuses a non-finite X
     if references.shape[0] < 2:
         raise ValueError("need at least 2 unique training inputs")
-    Dx = pairwise_distances(X, references)
     if alpha_mode == "auto":
         # the references are rows of X, so Dx already holds their distances
         alpha = auto_alpha(Dx[ref_idx])

@@ -1,5 +1,6 @@
-"""Cross-method comparison: Friedman test over per-dataset ranks and the
-Nemenyi post-hoc critical difference, with serializable diagram data.
+"""Cross-method comparison at ALPHA: Friedman test over per-dataset ranks and
+the Nemenyi post-hoc critical difference for any number of methods, from
+scipy.stats (imported on first use), with serializable diagram data.
 """
 from __future__ import annotations
 
@@ -15,13 +16,6 @@ LOWER_BETTER = "lower"
 HIGHER_BETTER = "higher"
 
 ALPHA = 0.05  # the level of the Friedman test, the Nemenyi CD and the diagram groups
-# studentized range quantiles / sqrt(2) at ALPHA, k = 2..20
-_Q = {
-    2: 1.9600, 3: 2.3437, 4: 2.5690, 5: 2.7278, 6: 2.8497,
-    7: 2.9483, 8: 3.0309, 9: 3.1017, 10: 3.1637, 11: 3.2187,
-    12: 3.2680, 13: 3.3127, 14: 3.3536, 15: 3.3912, 16: 3.4260,
-    17: 3.4584, 18: 3.4887, 19: 3.5171, 20: 3.5438,
-}
 
 
 @dataclass(frozen=True)
@@ -88,10 +82,13 @@ def friedman_test(table: ResultTable) -> tuple[float, bool]:
 
 
 def nemenyi_cd(k: int, n: int) -> float:
-    """Critical difference of average ranks at ALPHA for k methods over n datasets."""
-    if k not in _Q:
-        raise ValueError(f"k = {k} outside the embedded table range 2..20")
-    return _Q[k] * math.sqrt(k * (k + 1) / (6.0 * n))
+    """Critical difference of average ranks at ALPHA for k methods over n datasets:
+    q / sqrt(2) * sqrt(k (k + 1) / (6 n)), q the studentized range quantile."""
+    from scipy.stats import studentized_range
+    if k < 2:
+        raise ValueError(f"k = {k}: the critical difference needs at least 2 methods")
+    q = studentized_range.ppf(1.0 - ALPHA, k, np.inf) / math.sqrt(2.0)
+    return float(q) * math.sqrt(k * (k + 1) / (6.0 * n))
 
 
 def cd_diagram_data(table: ResultTable) -> dict:

@@ -27,7 +27,8 @@ def loo_deltas(gram: RegularizedGram, Dx, Dy, B) -> np.ndarray:
     Row i is the distance profile (one entry per column of Dy) that
     instance i would receive from a model trained without it, obtained
     from the leverage values of the ridge fit B (gram factors its Gram
-    matrix) instead of retraining N times.
+    matrix) instead of retraining N times. Dx and Dy are float64 matrices,
+    as models.fit returns them.
     """
     h = leverages(gram, Dx)
     bad = np.nonzero(h >= 1.0 - 1e-12)[0]
@@ -36,8 +37,8 @@ def loo_deltas(gram: RegularizedGram, Dx, Dy, B) -> np.ndarray:
             f"leverage >= 1 for instance(s) {bad.tolist()}; "
             "increase alpha to keep the LOO formula well-defined"
         )
-    loo = np.asarray(Dx, dtype=np.float64) @ B
-    loo -= h[:, None] * np.asarray(Dy, dtype=np.float64)
+    loo = Dx @ B
+    loo -= h[:, None] * Dy
     loo /= (1.0 - h)[:, None]
     return loo
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from distmlc import cli, modelio, models
+from distmlc import cli, modelio, models, stats
 from distmlc import data as dataio
 
 from conftest import random_problem, rewrite, rewrite_manifest
@@ -473,6 +473,17 @@ class TestStatsCommand:
         spaced.write_text(table.read_text().replace("\n", "\n\n"))
         assert cli.main(["stats", str(spaced), "--direction", "lower", "--out", str(out2)]) == 0
         assert out2.read_bytes() == out.read_bytes()
+
+    def test_more_than_twenty_methods(self, tmp_path):
+        methods = [f"m{j}" for j in range(25)]
+        rows = [",".join([f"d{i}", *(str((i * 7 + j * 3) % 25) for j in range(25))])
+                for i in range(6)]
+        table, out = tmp_path / "t.csv", tmp_path / "cd.json"
+        table.write_text("\n".join([",".join(["dataset", *methods]), *rows]) + "\n")
+        assert cli.main(["stats", str(table), "--direction", "lower", "--out", str(out)]) == 0
+        d = json.loads(out.read_text())
+        assert d["methods"] == methods
+        assert d["critical_difference"] == stats.nemenyi_cd(25, 6)
 
     @pytest.mark.parametrize("text, message", [
         ("dataset,a,b\nd1,0.1,0.2\nd2,0.2,x\n",

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distmlc import linalg, modelio, models, tuning
@@ -56,6 +56,20 @@ class TestTrain:
         assert np.linalg.norm(Dx @ model.coefficients - Dy) == pytest.approx(
             np.linalg.norm(Dx @ B_oracle - Dy), abs=1e-8
         )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(4, 1), slice(None)], ids=["entry", "all"])
+    def test_non_finite_input_refused(self, bad, where):
+        # all bad, the rows are one row to first_seen: the refusal must still name it
+        X, Y = random_problem(np.random.default_rng(22), n=10, m=3, l=2)
+        X[where] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            models.fit(X, Y, alpha_mode=0.1)
+
+    def test_one_unique_input_refused(self):
+        with pytest.raises(ValueError, match="need at least 2 unique training inputs"):
+            models.fit(np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]), np.eye(3)[:, :2],
+                       alpha_mode=0.1)
 
     def test_duplicate_rows_deduplicated(self):
         X = np.array([[0.0], [0.0], [1.0]])
@@ -735,6 +749,38 @@ def _check_one_row_queries(decoder, X, Y, Q):
     empty = call(model, Q[:0])
     assert empty.scores.shape == empty.labels.shape == (0, 4)
     assert empty.min_distance.shape == empty.uncertainty.shape == (0,)
+
+
+@st.composite
+def repeating_rows(draw):
+    """Float matrices of 0 to 6 rows over a few values, so that rows repeat and
+    some differ only in the sign of a zero; C- or F-ordered."""
+    n, m = draw(st.integers(0, 6)), draw(st.integers(1, 3))
+    value = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300, 3e300])
+    A = np.array(draw(st.lists(value, min_size=n * m, max_size=n * m)),
+                 dtype=np.float64).reshape(n, m)
+    return np.asfortranarray(A) if draw(st.booleans()) else A
+
+
+SIGNED_ZEROS = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [1.0, -0.0]])
+
+
+class TestFirstSeen:
+    @given(A=repeating_rows())
+    @example(A=SIGNED_ZEROS)
+    @example(A=np.asfortranarray(SIGNED_ZEROS))
+    @example(A=np.zeros((0, 3)))
+    @example(A=np.ones((1, 3)))
+    @example(A=np.ones((2, 3)))
+    @settings(max_examples=200)
+    def test_sorted_unique_in_first_seen_order(self, A):
+        idx, counts = models.first_seen(A)
+        _, oracle_idx, oracle_counts = np.unique(A, axis=0, return_index=True,
+                                                 return_counts=True)
+        order = np.argsort(oracle_idx)
+        assert idx.dtype.kind == counts.dtype.kind == "i"
+        np.testing.assert_array_equal(idx, oracle_idx[order])
+        np.testing.assert_array_equal(counts, oracle_counts[order])
 
 
 class TestUniqueLabelVectors:

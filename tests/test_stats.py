@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import chi2, studentized_range
+from scipy.stats import chi2
 
 import distmlc
 from distmlc import stats
@@ -138,9 +138,9 @@ class TestNemenyiCd:
             1.96 * math.sqrt(6 / 60), abs=1e-4
         )
 
-    def test_table_matches_studentized_range(self):
-        for k in (3, 5, 10, 20):
-            q = studentized_range.ppf(0.95, k, np.inf) / math.sqrt(2)
+    def test_matches_demsar_published_q(self):
+        # q_0.05 / sqrt(2) from Demsar (JMLR 2006), Table 5(a)
+        for k, q in ((2, 1.960), (3, 2.343), (5, 2.728), (10, 3.164)):
             assert stats.nemenyi_cd(k, 8) == pytest.approx(
                 q * math.sqrt(k * (k + 1) / 48), abs=5e-4
             )
@@ -148,9 +148,13 @@ class TestNemenyiCd:
     def test_shrinks_with_more_datasets(self):
         assert stats.nemenyi_cd(5, 100) < stats.nemenyi_cd(5, 10)
 
+    def test_grows_past_twenty_methods(self):
+        assert stats.nemenyi_cd(21, 10) > stats.nemenyi_cd(20, 10)
+
     def test_unsupported_inputs(self):
-        with pytest.raises(ValueError):
-            stats.nemenyi_cd(21, 10)
+        for k in (1, 0):
+            with pytest.raises(ValueError, match="at least 2 methods"):
+                stats.nemenyi_cd(k, 10)
 
 
 class TestCdDiagram:
