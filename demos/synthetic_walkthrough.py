@@ -44,7 +44,7 @@ print(f"train {Xtr.shape}, test {Xte.shape}, "
 # tuned variant: LOO power search + cardinality threshold
 tuned = tuning.tune_ml_mlm(Xtr, Ytr)
 print(f"\ntuned P = {tuned.power:.3f} (2^{np.log2(tuned.power):.2f}), "
-      f"threshold t = {tuned.threshold:.4f}, alpha = {tuned.model.alpha:.4g}")
+      f"threshold t = {tuned.threshold:.4f}, alpha = {tuned.alpha:.4g}")
 
 pred = models.ml_mlm_predict(tuned, Xte)
 report = metrics.evaluate(pred.labels, pred.scores, Yte)

@@ -11,10 +11,8 @@ from .data import Dataset, load_dataset
 from .linalg import pairwise_distances
 from .metrics import EvalReport, evaluate
 from .models import (
-    BrMlmModel,
     DistanceModel,
     Prediction,
-    TunedMlMlm,
     auto_alpha,
     br_mlm_predict,
     categorize_uncertainty,
@@ -34,13 +32,11 @@ from .tuning import cardinality_threshold, loo_deltas, search_power, tune_ml_mlm
 __version__ = "0.1.0"
 
 __all__ = [
-    "BrMlmModel",
     "Dataset",
     "DistanceModel",
     "EvalReport",
     "Prediction",
     "ResultTable",
-    "TunedMlMlm",
     "auto_alpha",
     "average_ranks",
     "br_mlm_predict",

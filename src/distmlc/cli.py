@@ -76,14 +76,15 @@ def fit_method(method, ds, alpha="auto", power=None, scale=False):
 PREDICT_CHUNK_BYTES = 1 << 20
 
 
-def predict_dataset(method, model, X, threshold=None) -> models.Prediction:
-    """Batch predictions (Q-row arrays) for every row of X, in row chunks; an
-    ml-mlm threshold is None or "cardinality" (the model's), "local-rcut" or a float."""
-    if threshold is not None and method != "ml-mlm":
-        raise UsageError(f"--threshold applies to ml-mlm only, not to {method}")
-    decode = method_functions(method)[1]
+def predict_dataset(model, X, threshold=None) -> models.Prediction:
+    """Batch predictions (Q-row arrays) for every row of X, in row chunks, by the
+    decoder of the model's method; an ml-mlm threshold is None or "cardinality"
+    (the model's), "local-rcut" or a float."""
+    if threshold is not None and model.method != "ml-mlm":
+        raise UsageError(f"--threshold applies to ml-mlm only, not to {model.method}")
+    decode = method_functions(model.method)[1]
     extra = {} if threshold is None else {"threshold": threshold}
-    K, U = models.base_model(model).coefficients.shape
+    K, U = model.coefficients.shape
     step = max(1, PREDICT_CHUNK_BYTES // (8 * (K + U)))
     # a 0-row X decodes once, to an empty Prediction
     parts = [decode(model, X[i:i + step], **extra) for i in range(0, max(X.shape[0], 1), step)]
@@ -148,24 +149,23 @@ def cmd_train(args) -> int:
     ds = dataio.load_dataset(args.data, args.labels_last)
     model = fit_method(args.method, ds, alpha=args.alpha, power=args.power,
                        scale=args.scale == "minmax")
-    save_model(args.out, model, args.method)
+    save_model(args.out, model)
     if args.curve_out:
         tuning.lrl_curve_csv(model.lrl_curve, args.curve_out)
     return EXIT_OK
 
 
 def cmd_predict(args) -> int:
-    model, manifest = load_model(args.model)
-    names, X = dataio.load_features(args.data, manifest["label_names"])
-    base = models.base_model(model)
-    if X.shape[1] != base.n_features:
+    model, _ = load_model(args.model)
+    names, X = dataio.load_features(args.data, model.label_names)
+    if X.shape[1] != model.n_features:
         raise dataio.DataFormatError(
-            f"{args.data}: {X.shape[1]} feature columns, but the model takes {base.n_features}")
-    if base.feature_names and names != base.feature_names:
-        i = next(i for i, (a, b) in enumerate(zip(names, base.feature_names)) if a != b)
+            f"{args.data}: {X.shape[1]} feature columns, but the model takes {model.n_features}")
+    if model.feature_names and names != model.feature_names:
+        i = next(i for i, (a, b) in enumerate(zip(names, model.feature_names)) if a != b)
         raise dataio.DataFormatError(f"{args.data}: feature column {i + 1} is {names[i]!r}, "
-                                     f"but the model's is {base.feature_names[i]!r}")
-    write_predictions(predict_dataset(manifest["method"], model, X, args.threshold), args.out)
+                                     f"but the model's is {model.feature_names[i]!r}")
+    write_predictions(predict_dataset(model, X, args.threshold), args.out)
     return EXIT_OK
 
 
@@ -219,7 +219,7 @@ def cmd_benchmark(args) -> int:
         for method in methods:
             # the model scales the raw test rows by its training bounds, as in predict
             model = fit_method(method, train_ds, scale=args.scale == "minmax")
-            preds = predict_dataset(method, model, test_ds.features)
+            preds = predict_dataset(model, test_ds.features)
             report = metricsmod.evaluate(
                 preds.labels.astype(np.float64), preds.scores, test_ds.labels
             )

@@ -1,7 +1,8 @@
 """Model files, and the code behind each method name.
 
-RECORDS names the four methods a model file may hold and the record each one
-holds; method_functions gives each one's trainer and decoder.
+A model file holds one models.DistanceModel, the record of every method, under
+the method name it carries (models.METHODS, re-exported here);
+method_functions gives each method's trainer and decoder.
 
 A model file is a zip archive holding a versioned JSON manifest plus
 row-major little-endian float64 blobs for each array. Writing is fully
@@ -37,18 +38,15 @@ from __future__ import annotations
 
 import json
 import zipfile
+from functools import partial
 
 import numpy as np
 
 from . import models, tuning
 from .linalg import integer_valued
-from .models import BrMlmModel, DistanceModel, TunedMlMlm, base_model, reference_order
+from .models import METHODS, DistanceModel, reference_order
 
 FORMAT_VERSION = 5
-# the methods a model file may name, and the record each one's file holds
-RECORDS = {"ml-mlm": TunedMlMlm, "nn-mlm": DistanceModel, "lls-mlm": DistanceModel,
-           "br-mlm": BrMlmModel}
-METHODS = tuple(RECORDS)
 _EPOCH = (1980, 1, 1, 0, 0, 0)
 
 
@@ -56,18 +54,15 @@ class ModelFileError(ValueError):
     """Unreadable or incompatible model file."""
 
 
-def save_model(path, model, method: str) -> None:
-    """Serialize a trained model under its method name. A model that is not the
-    record of its method (RECORDS) is refused before a byte is written."""
-    if type(model) is not RECORDS.get(method):
-        raise ValueError(f"cannot save a {type(model).__name__} as a {method!r} model")
-    base = base_model(model)
-    arrays = {"references": base.references, "coefficients": base.coefficients,
-              "train_labels": base.train_labels, "label_counts": base.label_counts}
+def save_model(path, model: DistanceModel) -> None:
+    """Serialize a trained model under the method name it carries."""
+    method = model.method
+    arrays = {"references": model.references, "coefficients": model.coefficients,
+              "train_labels": model.train_labels, "label_counts": model.label_counts}
     if method == "br-mlm":
         arrays["label_coefficients"] = model.label_coefficients
     tuned = method == "ml-mlm"
-    refs = base.references
+    refs = model.references
     (K, M), nnz = refs.shape, np.count_nonzero(refs)
     layout = "csr" if K + 1 + 2 * nnz < K * M else "dense"
     blobs = dict(arrays)
@@ -81,13 +76,13 @@ def save_model(path, model, method: str) -> None:
         "method": method,
         "P": model.power if tuned else None,
         "t": model.threshold if tuned else None,
-        "alpha": base.alpha,
+        "alpha": model.alpha,
         "dimensions": {name: list(a.shape) for name, a in arrays.items()},
         "references_layout": layout,
-        "label_names": list(base.label_names),
-        "feature_names": list(base.feature_names),
-        "scale": None if base.scale is None else {"min": base.scale[0].tolist(),
-                                                  "span": base.scale[1].tolist()},
+        "label_names": list(model.label_names),
+        "feature_names": list(model.feature_names),
+        "scale": None if model.scale is None else {"min": model.scale[0].tolist(),
+                                                   "span": model.scale[1].tolist()},
     }
     with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
         zf.writestr(zipfile.ZipInfo("manifest.json", date_time=_EPOCH),
@@ -99,13 +94,13 @@ def save_model(path, model, method: str) -> None:
 
 def method_functions(method: str):
     """(train, predict) of a method: train(X, Y, alpha_mode=, label_names=, scale=,
-    feature_names=[, power_mode=]) and predict(model, x[, threshold=]), the brackets for ml-mlm only.
-    Built on each call, so that a function rebound in its module after import is the
-    one returned."""
+    feature_names=[, power_mode=]), which returns a DistanceModel naming the method,
+    and predict(model, x[, threshold=]), the brackets for ml-mlm only. Built on each
+    call, so that a function rebound in its module after import is the one returned."""
     return {
         "ml-mlm": (tuning.tune_ml_mlm, models.ml_mlm_predict),
         "nn-mlm": (models.train, models.nn_mlm_predict),
-        "lls-mlm": (models.train, models.lls_mlm_predict),
+        "lls-mlm": (partial(models.train, method="lls-mlm"), models.lls_mlm_predict),
         "br-mlm": (models.train_br, models.br_mlm_predict),
     }[method]
 
@@ -148,9 +143,9 @@ def _references(zf, shape, layout) -> np.ndarray:
 
 
 def load_model(path):
-    """Read a model file back; returns (model object, manifest dict). The record
-    checks its own arrays and numbers when it is built, so any fault in the file
-    raises ModelFileError naming it."""
+    """Read a model file back; returns (DistanceModel, manifest dict). The record
+    checks its method, arrays and numbers when it is built, so any fault in the
+    file raises ModelFileError naming it."""
     try:
         with zipfile.ZipFile(path, "r") as zf:
             manifest = json.loads(zf.read("manifest.json"))
@@ -161,9 +156,6 @@ def load_model(path):
                     f"no longer reads; retrain the model to write format {FORMAT_VERSION}")
             if version != FORMAT_VERSION:
                 raise ValueError(f"unsupported format_version {version}")
-            method = manifest["method"]
-            if method not in METHODS:
-                raise ValueError(f"unknown method {method!r}")
             dimensions = manifest["dimensions"]
             if not isinstance(dimensions, dict):
                 raise ValueError("dimensions must be a JSON object of blob shapes")
@@ -179,22 +171,19 @@ def load_model(path):
             scale = [scale["min"], scale["span"]]
             if any(type(v) not in (int, float) for row in scale for v in row):
                 raise ValueError("scale minima and spans must be JSON numbers")
-        base = DistanceModel(
+        model = DistanceModel(
             references=arrays["references"],
             coefficients=arrays["coefficients"],
             alpha=manifest["alpha"],
             train_labels=arrays["train_labels"],
             label_counts=arrays["label_counts"],
             scale=None if scale is None else np.array(scale, dtype=np.float64),
+            method=manifest["method"],
+            power=manifest["P"],
+            threshold=manifest["t"],
+            label_coefficients=arrays.get("label_coefficients"),
             **{field: tuple(v) if isinstance(v, list) else v for field, v in names.items()},
         )
-        if method == "ml-mlm":
-            model = TunedMlMlm(model=base, power=manifest["P"], threshold=manifest["t"],
-                               lrl_curve=())
-        elif method == "br-mlm":
-            model = BrMlmModel(base=base, label_coefficients=arrays["label_coefficients"])
-        else:
-            model = base
     # MemoryError: CSR blobs are small, but their shape may ask for any size
     except (KeyError, TypeError, ValueError, MemoryError, zipfile.BadZipFile) as exc:
         raise ModelFileError(f"cannot read model file {path}: {exc}") from exc

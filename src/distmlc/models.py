@@ -4,7 +4,9 @@ The shared training step fits a linear map from input-space distance
 profiles to label-space distance profiles. Four predictors consume the
 predicted distances: IDW-weighted scoring (ml-mlm), nearest reference
 lookup (nn-mlm), an anchor-linearized multilateration solve (lls-mlm),
-and per-label closed-form cubic solves (br-mlm).
+and per-label closed-form cubic solves (br-mlm). Every method's trained model
+is one DistanceModel record: it names its method, and carries ml-mlm's tuned
+power and threshold or br-mlm's per-label maps besides the shared fit.
 
 Training rows that share a label vector share their label-space distance
 column, so the fit keeps each distinct label vector once, in first-seen
@@ -15,7 +17,7 @@ training rows.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -31,10 +33,13 @@ UNCERTAINTY_LOW = "low"
 UNCERTAINTY_MEDIUM = "medium"
 UNCERTAINTY_HIGH = "high"
 
+# the four decoders of the one record; a record names the one that reads it
+METHODS = ("ml-mlm", "nn-mlm", "lls-mlm", "br-mlm")
+
 
 @dataclass(frozen=True)
 class DistanceModel:
-    """Trained distance-regression model.
+    """Trained distance-regression model: the one record of every method.
 
     references: K x M unique training inputs, in first-seen order; they
         must be finite, so that queries need only their own rows checked.
@@ -47,9 +52,18 @@ class DistanceModel:
         of them (they sum to N).
     scale: None, or the 2 x M min-max scaler (minima, spans > 0) that scaled
         the training features, and that scales every query before its distances.
+    method: the method (one of METHODS) whose decoder reads the record.
+    power, threshold: ml-mlm's tuned IDW power P (finite, > 0) and global
+        threshold t (finite); lrl_curve the (P, LRL) curve of its power search.
+    label_coefficients: br-mlm's 2 x K x L stack of per-label maps, sharing
+        the fit's input-space factorization; column l of slice t maps input
+        distances to label l's output distance |y_l - t| against the
+        training rows whose label l is t (0 or 1). For 0/1 labels those are
+        the only two distances a label has to its training rows.
     Building one, by training, by modelio.load_model or by hand, checks all of
     this, alpha (finite, >= 0), label_names (empty or L strings) and
-    feature_names (empty or M strings).
+    feature_names (empty or M strings); the method's own fields are checked
+    for ml-mlm and br-mlm only.
     """
 
     references: np.ndarray
@@ -60,8 +74,20 @@ class DistanceModel:
     label_names: tuple[str, ...] = ()
     scale: np.ndarray | None = None
     feature_names: tuple[str, ...] = ()
+    method: str = "nn-mlm"
+    power: float | None = None
+    threshold: float | None = None
+    lrl_curve: tuple[tuple[float, float], ...] = ()
+    label_coefficients: np.ndarray | None = None
+
+    # perfbench/run.py reads a loaded model's .model.coefficients and
+    # .base.coefficients; ROADMAP item 2a deletes both aliases
+    model = property(lambda self: self)
+    base = model
 
     def __post_init__(self):
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}")
         if np.ndim(self.references) != 2 or np.ndim(self.train_labels) != 2:
             raise ValueError("references and train_labels must be matrices")
         if not _all_finite(self.references):
@@ -82,6 +108,11 @@ class DistanceModel:
             if not (isinstance(names, tuple) and len(names) in (0, n)
                     and all(isinstance(name, str) for name in names)):
                 raise ValueError(f"{field} must be empty or {n} strings, got {names!r}")
+        if self.method == "ml-mlm":
+            _check_number(self.power, "power P", "a finite number > 0", lambda v: v > 0)
+            _check_number(self.threshold, "threshold t")
+        elif self.method == "br-mlm":
+            _check_array(self.label_coefficients, "label_coefficients", (2, K, L), "2 x K x L")
 
     @property
     def n_features(self) -> int:
@@ -98,51 +129,6 @@ class DistanceModel:
         reference entry is an integer, in which case queries may take the
         exact integer distance kernel (linalg.euclidean)."""
         return integer_norms(self.references)
-
-
-@dataclass(frozen=True)
-class BrMlmModel:
-    """Per-label scalar distance models sharing one input-space factorization.
-
-    base: the joint distance model (used for nearest-reference cardinality).
-    label_coefficients: 2 x K x L stack; column l of slice t maps input
-        distances to label l's output distance |y_l - t| against the
-        training rows whose label l is t (0 or 1). For 0/1 labels those
-        are the only two distances a label has to its training rows.
-    """
-
-    base: DistanceModel
-    label_coefficients: np.ndarray
-
-    def __post_init__(self):
-        (K, _), (_, L) = self.base.references.shape, self.base.train_labels.shape
-        _check_array(self.label_coefficients, "label_coefficients", (2, K, L), "2 x K x L")
-
-
-@dataclass(frozen=True)
-class TunedMlMlm:
-    """A distance model with tuned power parameter (finite, > 0) and global
-    threshold (finite)."""
-
-    model: DistanceModel
-    power: float
-    threshold: float
-    lrl_curve: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        _check_number(self.power, "power P", "a finite number > 0", lambda v: v > 0)
-        _check_number(self.threshold, "threshold t")
-
-
-def base_model(model) -> DistanceModel:
-    """The distance model inside any trained model."""
-    if isinstance(model, TunedMlMlm):
-        return model.model
-    if isinstance(model, BrMlmModel):
-        return model.base
-    if isinstance(model, DistanceModel):
-        return model
-    raise TypeError(f"not a trained model: {type(model).__name__}")
 
 
 @dataclass(frozen=True)
@@ -268,15 +254,17 @@ def fit(X, Y, alpha_mode="auto", label_names=(), scale=False, feature_names=()):
     return model, Dx, Dy, gram
 
 
-def train(X, Y, alpha_mode="auto", label_names=(), scale=False,
-          feature_names=()) -> DistanceModel:
-    """The model of fit(X, Y, alpha_mode, label_names, scale, feature_names)."""
-    return fit(X, Y, alpha_mode=alpha_mode, label_names=label_names, scale=scale,
-               feature_names=feature_names)[0]
+def train(X, Y, alpha_mode="auto", label_names=(), scale=False, feature_names=(),
+          method="nn-mlm") -> DistanceModel:
+    """The model of fit(X, Y, alpha_mode, label_names, scale, feature_names),
+    named for method: nn-mlm or lls-mlm, whose decoders read only the fit."""
+    model = fit(X, Y, alpha_mode=alpha_mode, label_names=label_names, scale=scale,
+                feature_names=feature_names)[0]
+    return model if method == model.method else replace(model, method=method)
 
 
 def train_br(X, Y, alpha_mode="auto", label_names=(), scale=False,
-             feature_names=()) -> BrMlmModel:
+             feature_names=()) -> DistanceModel:
     """Fit the binary-relevance variant: one scalar output-distance map per label.
 
     The Gram factorization of the input distances is shared across labels.
@@ -284,13 +272,13 @@ def train_br(X, Y, alpha_mode="auto", label_names=(), scale=False,
     t is |Y[n, l] - t|: Y[:, l] for t = 0 and 1 - Y[:, l] for t = 1, so
     one product gives every label's two maps.
     """
-    base, Dx, _, gram = fit(X, Y, alpha_mode=alpha_mode, label_names=label_names, scale=scale,
-                            feature_names=feature_names)
+    model, Dx, _, gram = fit(X, Y, alpha_mode=alpha_mode, label_names=label_names, scale=scale,
+                             feature_names=feature_names)
     if gram is None:
         raise SingularSystemError("U = Dx^T Dx + alpha*I is not positive definite")
     Y = np.asarray(Y, dtype=np.float64)  # fit checked it
     maps = gram.solve(Dx.T) @ np.stack([Y, 1.0 - Y])
-    return BrMlmModel(base=base, label_coefficients=maps)
+    return replace(model, method="br-mlm", label_coefficients=maps)
 
 
 def _distances(model: DistanceModel, x) -> np.ndarray:
@@ -419,17 +407,17 @@ def nn_mlm_predict(model: DistanceModel, x) -> Prediction:
     return _finish(rows, rows, deltas)
 
 
-def ml_mlm_predict(tuned, x, threshold=None) -> Prediction:
+def ml_mlm_predict(model: DistanceModel, x, threshold=None) -> Prediction:
     """IDW-scored prediction with the tuned power. threshold is None or
     "cardinality" (labels are scores above the tuned threshold), a float
     (scores above it), or "local-rcut" (each row's top k scores, k the label
     count of its nearest reference); the scores are the same in every case."""
-    deltas = predict_deltas(tuned.model, x)
-    scores = idw_scores(log_distances(deltas), tuned.model.label_weights, tuned.power)
+    deltas = predict_deltas(model, x)
+    scores = idw_scores(log_distances(deltas), model.label_weights, model.power)
     if threshold == "local-rcut":
-        return _finish_rank_cut(scores, tuned.model, deltas)
+        return _finish_rank_cut(scores, model, deltas)
     if threshold in (None, "cardinality"):
-        threshold = tuned.threshold
+        threshold = model.threshold
     elif isinstance(threshold, str):
         raise ValueError(f"threshold is cardinality, local-rcut or a float, not {threshold!r}")
     return _finish(scores, scores > threshold, deltas)
@@ -548,18 +536,17 @@ def scalar_multilateration_scores(target_cols: np.ndarray, delta_cols: np.ndarra
     return np.where(np.abs(((stepped + A) * stepped + B) * stepped + C) < np.abs(f), stepped, y)
 
 
-def br_mlm_predict(model: BrMlmModel, x) -> Prediction:
+def br_mlm_predict(model: DistanceModel, x) -> Prediction:
     """Per-label cubic multilateration scores with local rank-cut thresholding.
 
     Each label's cubic has two target rows, 0 and 1, weighted by how many
     training rows carry that value of the label.
     """
-    base = model.base
-    d = _distances(base, x)
+    d = _distances(model, x)
     # each label's predicted distances to its 0- and 1-valued training rows, Q x 2 x L
     delta_cols = _rowwise_product(d, model.label_coefficients)
-    n1 = base.label_counts @ base.train_labels
-    counts = np.stack([base.label_counts.sum() - n1, n1])
+    n1 = model.label_counts @ model.train_labels
+    counts = np.stack([model.label_counts.sum() - n1, n1])
     targets = np.array([[0.0], [1.0]])
     scores = scalar_multilateration_scores(targets, delta_cols, counts)
-    return _finish_rank_cut(scores, base, _rowwise_product(d, base.coefficients))
+    return _finish_rank_cut(scores, model, _rowwise_product(d, model.coefficients))

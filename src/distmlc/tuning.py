@@ -8,6 +8,8 @@ one is applied when decoding (models.ml_mlm_predict's threshold).
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .linalg import RegularizedGram, SingularSystemError, leverages
@@ -83,8 +85,9 @@ def cardinality_threshold(loo_scores, Y) -> float:
 
 
 def tune_ml_mlm(X, Y, alpha_mode="auto", power_mode="tuned", label_names=(),
-                scale=False, feature_names=()) -> _models.TunedMlMlm:
-    """Train the distance model and pick power and threshold in one LOO pass.
+                scale=False, feature_names=()) -> _models.DistanceModel:
+    """Train the ml-mlm model: the distance model with the power and threshold
+    picked in one LOO pass.
 
     power_mode is "tuned" or a fixed positive float; the threshold is the
     cardinality threshold of the leave-one-out scores at that power. The
@@ -111,7 +114,7 @@ def tune_ml_mlm(X, Y, alpha_mode="auto", power_mode="tuned", label_names=(),
         power, curve = float(power_mode), ()
     loo_scores = _models.idw_scores(_models.log_distances(loo), model.label_weights, power)
     threshold = cardinality_threshold(loo_scores, Y)
-    return _models.TunedMlMlm(model=model, power=power, threshold=threshold, lrl_curve=curve)
+    return replace(model, method="ml-mlm", power=power, threshold=threshold, lrl_curve=curve)
 
 
 def lrl_curve_csv(curve, path) -> None:

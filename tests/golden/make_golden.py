@@ -112,13 +112,12 @@ def cli_outputs(problem: dict, work: Path) -> dict:
 def tuning_outputs(problem: dict) -> dict:
     X, Y = problem["X_train"], problem["Y_train"]
     tuned = tuning.tune_ml_mlm(X, Y)
-    model = tuned.model
-    Dx = pairwise_distances(X, model.references)
+    Dx = pairwise_distances(X, tuned.references)
     Dy = pairwise_distances(Y, Y)
-    gram, B = fit_ridge(Dx, Dy, model.alpha)
+    gram, B = fit_ridge(Dx, Dy, tuned.alpha)
     loo = tuning.loo_deltas(gram, Dx, Dy, B)
     return {
-        "ml_alpha": np.float64(model.alpha),
+        "ml_alpha": np.float64(tuned.alpha),
         "ml_power": np.float64(tuned.power),
         "ml_threshold": np.float64(tuned.threshold),
         "ml_curve": np.array(tuned.lrl_curve, dtype=np.float64),

@@ -727,7 +727,7 @@ class TestExitCodes:
         train, _ = toy_specs
         ds = dataio.load_dataset(train)
         model, te, out = tmp_path / "m.dmlm", tmp_path / "te.csv", tmp_path / "p.jsonl"
-        modelio.save_model(model, models.train(ds.features, ds.labels, alpha_mode=0.1), "nn-mlm")
+        modelio.save_model(model, models.train(ds.features, ds.labels, alpha_mode=0.1))
         te.write_text("a,b,c\n0.5,0.5,1\n")
         assert cli.main(["predict", str(model), str(te), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 1

@@ -86,7 +86,7 @@ def fit_and_decode(method, X, Y, Q, power=None):
 
 def untied_rows(method, model, Q, pred) -> np.ndarray:
     """The queries of pred whose outputs no analytic tie decides."""
-    d = np.sort(models.clamp_deltas(models.predict_deltas(models.base_model(model), Q)), axis=1)
+    d = np.sort(models.clamp_deltas(models.predict_deltas(model, Q)), axis=1)
     ok = d.shape[1] < 2 or d[:, 1] - d[:, 0] > GAP * (1.0 + d[:, 0])
     for edge in (1.0, models.SQRT2):
         ok = ok & (np.abs(pred.min_distance - edge) > GAP)

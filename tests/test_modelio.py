@@ -1,6 +1,7 @@
 import json
 import re
 import zipfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,13 +30,12 @@ class TestRoundTrip:
         X, Y = problem
         tuned = tuning.tune_ml_mlm(X, Y, alpha_mode=0.1)
         p = tmp_path / "m.dmlm"
-        modelio.save_model(p, tuned, "ml-mlm")
+        modelio.save_model(p, tuned)
         loaded, manifest = modelio.load_model(p)
         assert manifest["method"] == "ml-mlm"
         assert loaded.power == tuned.power
         assert loaded.threshold == tuned.threshold
-        base = loaded.model
-        for arr in (base.references, base.coefficients, base.train_labels):
+        for arr in (loaded.references, loaded.coefficients, loaded.train_labels):
             assert not arr.flags.writeable
         for x in X[:5]:
             a = models.ml_mlm_predict(tuned, x)
@@ -48,10 +48,10 @@ class TestRoundTrip:
         X, Y = problem
         model = models.train_br(X, Y, alpha_mode=0.1)
         p = tmp_path / "m.dmlm"
-        modelio.save_model(p, model, "br-mlm")
+        modelio.save_model(p, model)
         loaded, _ = modelio.load_model(p)
         assert not loaded.label_coefficients.flags.writeable
-        assert not loaded.base.coefficients.flags.writeable
+        assert not loaded.coefficients.flags.writeable
         a = models.br_mlm_predict(model, X[0])
         b = models.br_mlm_predict(loaded, X[0])
         assert (a.scores == b.scores).all()
@@ -61,7 +61,7 @@ class TestRoundTrip:
         X, Y = problem
         model = models.train(X, Y, alpha_mode=0.1, label_names=("a", "b", "c"))
         p = tmp_path / "m.dmlm"
-        modelio.save_model(p, model, "nn-mlm")
+        modelio.save_model(p, model)
         loaded, _ = modelio.load_model(p)
         assert loaded.label_names == ("a", "b", "c")
         assert (loaded.coefficients == model.coefficients).all()
@@ -81,18 +81,17 @@ def check_save_and_load(method, X, Y, layout, order, p):
     train, predict = modelio.method_functions(method)
     names = tuple(f"x{j}" for j in range(X.shape[1]))
     model = train(X, Y, alpha_mode=0.1, label_names=("a", "b", "c"), feature_names=names)
-    modelio.save_model(p, model, method)
+    modelio.save_model(p, model)
     loaded, manifest = modelio.load_model(p)
     assert manifest["method"] == method
     assert manifest["references_layout"] == layout
-    trained, back = models.base_model(model), models.base_model(loaded)
-    assert back.feature_names == names
-    refs = trained.references
-    assert np.array_equal(back.references, refs)
+    assert loaded.feature_names == names
+    refs = model.references
+    assert np.array_equal(loaded.references, refs)
     flag = {"F": "F_CONTIGUOUS", "C": "C_CONTIGUOUS"}[order]
-    assert refs.flags[flag] and back.references.flags[flag]
+    assert refs.flags[flag] and loaded.references.flags[flag]
     assert not refs.flags.c_contiguous or not refs.flags.f_contiguous  # K, M > 1
-    assert not back.references.flags.writeable
+    assert not loaded.references.flags.writeable
     with zipfile.ZipFile(p) as zf:
         if layout == "dense":  # the row-major bytes of format 4
             assert zf.read("references.f64") == np.ascontiguousarray(refs, "<f8").tobytes()
@@ -110,10 +109,10 @@ def test_sparse_model_file_is_smaller_than_its_dense_references(tmp_path):
     X, Y = sparse_problem(np.random.default_rng(105), integer=True, n=40, m=60)
     model = models.train_br(X, Y, alpha_mode=0.1)
     p = tmp_path / "m.dmlm"
-    modelio.save_model(p, model, "br-mlm")
-    assert p.stat().st_size < model.base.references.nbytes
+    modelio.save_model(p, model)
+    assert p.stat().st_size < model.references.nbytes
     loaded, _ = modelio.load_model(p)
-    assert np.array_equal(loaded.base.references, X[models.first_seen(X)[0]])
+    assert np.array_equal(loaded.references, X[models.first_seen(X)[0]])
 
 
 def test_ml_mlm_fixed_threshold_keeps_scores(problem):
@@ -136,8 +135,8 @@ class TestDeterminism:
         model = models.train(X, Y, alpha_mode=0.1)
         a = tmp_path / "a.dmlm"
         b = tmp_path / "b.dmlm"
-        modelio.save_model(a, model, "nn-mlm")
-        modelio.save_model(b, model, "nn-mlm")
+        modelio.save_model(a, model)
+        modelio.save_model(b, model)
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -152,7 +151,7 @@ class TestErrors:
         X, Y = problem
         model = models.train(X, Y, alpha_mode=0.1)
         p = tmp_path / "m.dmlm"
-        modelio.save_model(p, model, "nn-mlm")
+        modelio.save_model(p, model)
         # rewrite the manifest with a bumped version
         with zipfile.ZipFile(p) as zf:
             manifest = json.loads(zf.read("manifest.json"))
@@ -178,7 +177,7 @@ class TestErrors:
         X, Y = problem
         model = models.train(X, Y, alpha_mode=0.1)
         p = tmp_path / "m.dmlm"
-        modelio.save_model(p, model, "nn-mlm")
+        modelio.save_model(p, model)
         with zipfile.ZipFile(p) as zf:
             manifest_raw = zf.read("manifest.json")
             blobs = {n: zf.read(n) for n in zf.namelist() if n != "manifest.json"}
@@ -204,21 +203,21 @@ class TestValidation:
         model = models.train_br(X, Y, alpha_mode=0.1)
         assert model.label_coefficients.shape[1] != model.label_coefficients.shape[2]  # K != L
         p = tmp_path / "m.dmlm"
-        modelio.save_model(p, model, "br-mlm")
+        modelio.save_model(p, model)
         return p
 
     @pytest.fixture
     def saved_ml(self, tmp_path):
         X, Y = random_problem(np.random.default_rng(103), n=16, m=3, l=3)
         p = tmp_path / "ml.dmlm"
-        modelio.save_model(p, tuning.tune_ml_mlm(X, Y, alpha_mode=0.1), "ml-mlm")
+        modelio.save_model(p, tuning.tune_ml_mlm(X, Y, alpha_mode=0.1))
         return p
 
     @pytest.fixture
     def saved_csr(self, tmp_path):
         X, Y = sparse_problem(np.random.default_rng(106), integer=True)
         p = tmp_path / "csr.dmlm"
-        modelio.save_model(p, models.train(X, Y, alpha_mode=0.1), "nn-mlm")
+        modelio.save_model(p, models.train(X, Y, alpha_mode=0.1))
         return p
 
     def assert_refused(self, path, edit, match):
@@ -404,19 +403,55 @@ class TestValidation:
         self.assert_refused(saved, edit, "feature_names must be empty or 3 strings")
 
 
-class TestSaveRefusesAWrongRecord:
-    """save_model writes nothing for a record that is not its method's."""
+class TestRecordRefusesAnotherMethodsFields:
+    """A record names its method and holds that method's fields, so a model
+    cannot be saved under another method's name: relabelling a record refuses
+    a method whose fields it lacks, as does an unknown method."""
 
-    @pytest.mark.parametrize("train, method", [
-        (models.train_br, "ml-mlm"),
-        (tuning.tune_ml_mlm, "br-mlm"),
-        (tuning.tune_ml_mlm, "nn-mlm"),
-        (models.train, "lls-mlm-x"),
-    ])
-    def test_refused_before_writing(self, problem, tmp_path, train, method):
+    @pytest.mark.parametrize("train, method, match", [
+        (models.train_br, "ml-mlm", "power P"),
+        (tuning.tune_ml_mlm, "br-mlm", "label_coefficients"),
+        (models.train, "lls-mlm-x", "unknown method 'lls-mlm-x'"),
+    ], ids=["train_br-ml-mlm", "tune_ml_mlm-br-mlm", "train-lls-mlm-x"])
+    def test_relabelled_record_refused(self, problem, train, method, match):
         X, Y = problem
         model = train(X, Y, alpha_mode=0.1)
+        with pytest.raises(ValueError, match=match):
+            replace(model, method=method)
+
+    @pytest.mark.parametrize("make, method", [
+        (lambda X, Y: replace(tuning.tune_ml_mlm(X, Y, alpha_mode=0.1), method="nn-mlm"),
+         "nn-mlm"),
+        (lambda X, Y: models.train(X, Y, alpha_mode=0.1, method="lls-mlm"), "lls-mlm"),
+    ], ids=["tune_ml_mlm-nn-mlm", "train-lls-mlm"])
+    def test_saved_under_the_records_method(self, problem, tmp_path, make, method):
+        """A tuned record relabelled nn-mlm is an nn-mlm record: its file holds no
+        P or t. An lls-mlm fit saves and loads as lls-mlm."""
+        X, Y = problem
+        model = make(X, Y)
         p = tmp_path / "m.dmlm"
-        with pytest.raises(ValueError, match=f"as a '{method}' model"):
-            modelio.save_model(p, model, method)
-        assert not p.exists()
+        modelio.save_model(p, model)
+        loaded, manifest = modelio.load_model(p)
+        assert (manifest["method"], manifest["P"], manifest["t"]) == (method, None, None)
+        assert (loaded.method, loaded.power, loaded.threshold) == (method, None, None)
+        decode = modelio.method_functions(method)[1]
+        assert np.array_equal(decode(model, X).labels, decode(loaded, X).labels)
+
+
+@pytest.mark.parametrize("method", ["ml-mlm", "br-mlm"])
+def test_loaded_record_keeps_the_benchmarks_read_paths(problem, tmp_path, method):
+    """perfbench/run.py reads a loaded model's .model.coefficients (ml-mlm), and
+    .base.coefficients and .label_coefficients (br-mlm). ROADMAP item 2a deletes
+    this test together with the .model and .base aliases."""
+    X, Y = problem
+    model = modelio.method_functions(method)[0](X, Y, alpha_mode=0.1)
+    p = tmp_path / "m.dmlm"
+    modelio.save_model(p, model)
+    loaded, manifest = modelio.load_model(p)
+    assert manifest["method"] == method
+    assert loaded.model.coefficients is loaded.coefficients
+    assert loaded.base.coefficients is loaded.coefficients
+    if method == "br-mlm":
+        assert np.array_equal(loaded.label_coefficients, model.label_coefficients)
+    else:
+        assert loaded.label_coefficients is None

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from distmlc import linalg, modelio, models, tuning
 from distmlc.linalg import fit_ridge, pairwise_distances
-from distmlc.models import TunedMlMlm, local_rcut
+from distmlc.models import local_rcut
 from distmlc.tuning import cardinality_threshold, search_power, tune_ml_mlm
 
 from conftest import (
@@ -150,19 +150,19 @@ class TestQueryContract:
     decoder share."""
 
     CALLS = {
-        "deltas": lambda tuned, br, x: models.predict_deltas(tuned.model, x),
+        "deltas": lambda tuned, br, x: models.predict_deltas(tuned, x),
         "ml": lambda tuned, br, x: models.ml_mlm_predict(tuned, x),
         "ml-rcut": lambda tuned, br, x: models.ml_mlm_predict(tuned, x, threshold="local-rcut"),
-        "nn": lambda tuned, br, x: models.nn_mlm_predict(tuned.model, x),
-        "lls": lambda tuned, br, x: models.lls_mlm_predict(tuned.model, x),
+        "nn": lambda tuned, br, x: models.nn_mlm_predict(tuned, x),
+        "lls": lambda tuned, br, x: models.lls_mlm_predict(tuned, x),
         "br": lambda tuned, br, x: models.br_mlm_predict(br, x),
     }
 
     @pytest.fixture(scope="class")
     def fitted(self):
         X, Y = random_problem(np.random.default_rng(24), n=12, m=3, l=3)
-        tuned = TunedMlMlm(model=models.train(X, Y, alpha_mode=0.1),
-                           power=2.0, threshold=0.5, lrl_curve=())
+        tuned = replace(models.train(X, Y, alpha_mode=0.1), method="ml-mlm",
+                        power=2.0, threshold=0.5)
         return tuned, models.train_br(X, Y, alpha_mode=0.1), X
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -186,7 +186,7 @@ class TestQueryContract:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_reference_refused(self, fitted, bad):
-        model = fitted[0].model
+        model = fitted[0]
         references = model.references.copy()
         references[1, 0] = bad
         with pytest.raises(ValueError, match="references contain non-finite"):
@@ -214,7 +214,7 @@ class TestScaling:
         X = 7.0 * X - 3.0
         train, decode = modelio.method_functions(method)
         scaled = train(X, Y, alpha_mode=0.1, scale=True)
-        lo, span = models.base_model(scaled).scale
+        lo, span = scaled.scale
         plain = train((X - lo) / span, Y, alpha_mode=0.1)
         a, b = decode(scaled, X[:6]), decode(plain, (X[:6] - lo) / span)
         for field in ("scores", "labels", "min_distance", "uncertainty"):
@@ -272,7 +272,7 @@ class TestRecordsCheckThemselves:
         ("scale", lambda m: _with(np.ones((2, 3)), (1, 0), -1.0)),
     ])
     def test_distance_model(self, records, field, broken):
-        model = records[0].model
+        model = records[0]
         replace(model, label_names=())  # the untouched fields pass
         with pytest.raises(ValueError, match=field):
             replace(model, **{field: broken(model)})
@@ -641,7 +641,7 @@ class TestMlMlmThresholding:
         rng = np.random.default_rng(28)
         X, Y = random_problem(rng, n=12, m=3, l=3)
         model = models.train(X, Y, alpha_mode=0.1)
-        return TunedMlMlm(model=model, power=2.0, threshold=t, lrl_curve=()), X
+        return replace(model, method="ml-mlm", power=2.0, threshold=t), X
 
     def test_threshold_above_range_empty(self):
         tuned, X = self._tuned(1.0)
@@ -686,7 +686,7 @@ def test_large_power_limit_matches_nearest_reference():
     rng = np.random.default_rng(30)
     X, Y = random_problem(rng, n=20, m=4, l=4)
     model = models.train(X, Y, alpha_mode=0.1)
-    tuned = TunedMlMlm(model=model, power=2.0**8, threshold=0.5, lrl_curve=())
+    tuned = replace(model, method="ml-mlm", power=2.0**8, threshold=0.5)
     for x in rng.normal(size=(10, 4)):
         deltas = models.clamp_deltas(models.predict_deltas(model, x))
         d_sorted = np.sort(deltas)
@@ -716,16 +716,15 @@ def _check_one_row_queries(decoder, X, Y, Q):
     call, model = {
         "ml": (models.ml_mlm_predict, tuned),
         "ml-rcut": (lambda m, x: models.ml_mlm_predict(m, x, threshold="local-rcut"), tuned),
-        "nn": (models.nn_mlm_predict, tuned.model),
-        "lls": (models.lls_mlm_predict, tuned.model),
+        "nn": (models.nn_mlm_predict, tuned),
+        "lls": (models.lls_mlm_predict, tuned),
         "br": (models.br_mlm_predict, models.train_br(X, Y, alpha_mode=0.1)),
     }[decoder]
     batch = call(model, Q)
     rows = [call(model, q) for q in Q]
-    base = models.base_model(model)
-    deltas = models.predict_deltas(base, Q)
+    deltas = models.predict_deltas(model, Q)
     for q, batch_deltas in zip(Q, deltas):
-        np.testing.assert_array_equal(_bits(models.predict_deltas(base, q)), _bits(batch_deltas))
+        np.testing.assert_array_equal(_bits(models.predict_deltas(model, q)), _bits(batch_deltas))
     assert batch.scores.shape == (6, 4) and batch.labels.shape == (6, 4)
     scores = np.array([r.scores for r in rows], dtype=np.float64)
     if decoder in ("nn", "br"):
@@ -868,8 +867,8 @@ class TestUniqueLabelVectors:
     @pytest.mark.parametrize("decoder", ["ml", "ml-rcut", "nn", "lls", "br"])
     def test_decoder_matches_n_columns(self, problem, reference, decoder):
         X, Y, Q = problem
-        tuned = TunedMlMlm(model=models.train(X, Y, alpha_mode=self.ALPHA),
-                           power=6.0, threshold=0.4, lrl_curve=())
+        tuned = replace(models.train(X, Y, alpha_mode=self.ALPHA), method="ml-mlm",
+                        power=6.0, threshold=0.4)
         D, nearest = reference["deltas"], reference["nearest"]
         k_cut = Y[nearest].sum(axis=1).astype(int)
         if decoder in ("ml", "ml-rcut"):
@@ -881,7 +880,7 @@ class TestUniqueLabelVectors:
             pred = models.ml_mlm_predict(tuned, Q, threshold=threshold)
         elif decoder == "nn":
             scores = labels = Y[nearest]
-            pred = models.nn_mlm_predict(tuned.model, Q)
+            pred = models.nn_mlm_predict(tuned, Q)
         elif decoder == "lls":
             # unit counts: the anchor-linearized system of one equation per row
             full = models.DistanceModel(references=reference["refs"], coefficients=reference["B"],
@@ -889,7 +888,7 @@ class TestUniqueLabelVectors:
                                         label_counts=np.ones(len(Y)))
             scores = models.lls_scores(full, D)
             labels = local_rcut(scores, k_cut)
-            pred = models.lls_mlm_predict(tuned.model, Q)
+            pred = models.lls_mlm_predict(tuned, Q)
         else:
             scores = models.scalar_multilateration_scores(Y, reference["br_cols"], np.ones(len(Y)))
             labels = local_rcut(scores, k_cut)
@@ -938,11 +937,11 @@ class TestIntegerFeatures:
     def test_a_row_alone_has_its_batch_distances(self, problem, method):
         X, Y, Q = problem
         model, batch = self.fit_and_decode(method, X, Y, Q)
-        decode, base = modelio.method_functions(method)[1], models.base_model(model)
-        deltas = models.predict_deltas(base, Q)
+        decode = modelio.method_functions(method)[1]
+        deltas = models.predict_deltas(model, Q)
         for i, q in enumerate(Q):
             alone = decode(model, q)
-            np.testing.assert_array_equal(models.predict_deltas(base, q).view(np.int64),
+            np.testing.assert_array_equal(models.predict_deltas(model, q).view(np.int64),
                                           deltas[i].view(np.int64))
             assert alone.min_distance == batch.min_distance[i]
             assert alone.uncertainty == batch.uncertainty[i]
